@@ -12,6 +12,35 @@ namespace ajac {
 
 const char* version() { return "1.0.0"; }
 
+namespace {
+
+/// The shared-memory backend's options, for single- and multi-RHS calls.
+runtime::SharedOptions shared_options(const CsrMatrix& a,
+                                      const SolveConfig& config) {
+  runtime::SharedOptions opts;
+  opts.num_threads = config.parallelism;
+  opts.synchronous = config.synchronous;
+  opts.tolerance = config.tolerance;
+  opts.max_iterations = config.max_iterations;
+  opts.record_history = false;
+  opts.kernel = config.shared_kernel;
+  opts.ghost_precision = config.ghost_precision;
+  opts.policy = config.policy;
+  opts.weight_refresh = config.weight_refresh;
+  opts.policy_seed = config.seed;
+  opts.stream = config.stream;
+  // nnz-balanced blocks for the partition-aware kernels (the facade
+  // default). The runtime's own default stays row-balanced, so direct
+  // SharedOptions users — and every recorded golden trace — are untouched.
+  if (config.balance_by_nnz && config.parallelism > 1 &&
+      config.shared_kernel != runtime::KernelKind::kReference) {
+    opts.partition = partition::nnz_balanced_partition(a, config.parallelism);
+  }
+  return opts;
+}
+
+}  // namespace
+
 Solution solve(const CsrMatrix& a, const Vector& b, const Vector& x0,
                const SolveConfig& config) {
   AJAC_CHECK(a.num_rows() == a.num_cols());
@@ -47,28 +76,8 @@ Solution solve(const CsrMatrix& a, const Vector& b, const Vector& x0,
       return sol;
     }
     case Backend::kSharedMemory: {
-      runtime::SharedOptions opts;
-      opts.num_threads = config.parallelism;
-      opts.synchronous = config.synchronous;
-      opts.tolerance = config.tolerance;
-      opts.max_iterations = config.max_iterations;
-      opts.record_history = false;
-      opts.kernel = config.shared_kernel;
-      opts.ghost_precision = config.ghost_precision;
-      opts.policy = config.policy;
-      opts.weight_refresh = config.weight_refresh;
-      opts.policy_seed = config.seed;
-      opts.stream = config.stream;
-      // nnz-balanced blocks for the partition-aware kernels (the facade
-      // default). The runtime's own default stays row-balanced, so direct
-      // SharedOptions users — and every recorded golden trace — are
-      // untouched.
-      if (config.balance_by_nnz && config.parallelism > 1 &&
-          config.shared_kernel != runtime::KernelKind::kReference) {
-        opts.partition =
-            partition::nnz_balanced_partition(a, config.parallelism);
-      }
-      const runtime::SharedResult r = runtime::solve_shared(a, b, x0, opts);
+      const runtime::SharedResult r =
+          runtime::solve_shared(a, b, x0, shared_options(a, config));
       sol.seconds = r.seconds;
       sol.x = r.x;
       sol.converged = r.converged;
@@ -184,24 +193,8 @@ BatchSolution solve_batch(const CsrMatrix& a, const MultiVector& b,
                  "batched solves run on the shared-memory backend only");
   AJAC_CHECK_MSG(config.num_rhs == b.num_cols(),
                  "config.num_rhs must equal b.num_cols()");
-  runtime::SharedOptions opts;
-  opts.num_threads = config.parallelism;
-  opts.synchronous = config.synchronous;
-  opts.tolerance = config.tolerance;
-  opts.max_iterations = config.max_iterations;
-  opts.record_history = false;
-  opts.kernel = config.shared_kernel;
-  opts.ghost_precision = config.ghost_precision;
-  opts.policy = config.policy;
-  opts.weight_refresh = config.weight_refresh;
-  opts.policy_seed = config.seed;
-  opts.stream = config.stream;
-  // Same facade-level nnz balancing as the single-RHS path.
-  if (config.balance_by_nnz && config.parallelism > 1 &&
-      config.shared_kernel != runtime::KernelKind::kReference) {
-    opts.partition = partition::nnz_balanced_partition(a, config.parallelism);
-  }
-  runtime::SharedBatchResult r = runtime::solve_shared_batch(a, b, x0, opts);
+  runtime::SharedBatchResult r =
+      runtime::solve_shared_batch(a, b, x0, shared_options(a, config));
   BatchSolution sol;
   sol.x = std::move(r.x);
   sol.converged = std::move(r.converged);

@@ -19,7 +19,7 @@
 // identical. The kernel-equivalence suite (tests/runtime/kernel_equiv_*)
 // holds this line.
 //
-// Faults template parameter: the per-thread injector of shared_jacobi.cpp
+// Faults template parameter: the per-thread injector of solve_hooks.hpp
 // (NullFaults compiles every hook away). Bit flips index entries by their
 // position within the row, which the blocked layout preserves, so the flip
 // decision and the corrupted entry match the reference path exactly.
@@ -177,46 +177,6 @@ inline void commit_block(const BlockedCsr::Block& blk, OwnBlockState& own,
   for (auto& v : own.version) ++v;
 }
 
-/// In-place forward Gauss-Seidel sweep over the block (ascending rows, so
-/// interior/boundary fusion does not apply): each row's update is visible
-/// to the following rows via the mirror and to other threads via x
-/// immediately, matching the reference sweep bitwise.
-template <class Faults>
-inline void relax_block_gs(const BlockedCsr::Block& blk, const CsrMatrix& a,
-                           std::span<const double> b, OwnBlockState& own,
-                           SharedVector& x, SharedVector& r, Faults& faults)
-    AJAC_REQUIRES(own.owner, x.writer_role(), r.writer_role()) {
-  for (index_t i = blk.lo; i < blk.hi; ++i) {
-    const auto li = static_cast<std::size_t>(i - blk.lo);
-    const auto begin = static_cast<std::size_t>(blk.row_ptr[li]);
-    const auto end = static_cast<std::size_t>(blk.row_ptr[li + 1]);
-    double acc = b[static_cast<std::size_t>(i)];
-    FlippedEntry flipped;
-    bool has_flip = false;
-    if constexpr (Faults::enabled) {
-      const auto row = a.row(i);
-      has_flip = faults.flip(i, row.cols, row.vals, flipped);
-    }
-    for (std::size_t p = begin; p < end; ++p) {
-      double aij = blk.values[p];
-      if constexpr (Faults::enabled) {
-        if (has_flip && p - begin == flipped.entry) aij = flipped.value;
-      }
-      const index_t code = blk.col_code[p];
-      const double xj =
-          BlockedCsr::is_ghost(code)
-              ? faults.read(x, blk.ghost_cols[static_cast<std::size_t>(
-                                   BlockedCsr::ghost_slot(code))])
-              : own.x[static_cast<std::size_t>(code)];
-      acc -= aij * xj;
-    }
-    r.write(i, acc);
-    const double nx = own.x[li] + blk.inv_diag[li] * acc;
-    x.write(i, nx);
-    own.x[li] = nx;
-  }
-}
-
 /// Traced relaxation (record_trace runs): like relax_interior +
 /// relax_boundary but pairing every off-diagonal read with its seqlock
 /// version for the propagation analysis. Local reads take the version from
@@ -278,12 +238,11 @@ inline void relax_traced(const BlockedCsr::Block& blk, const CsrMatrix& a,
   for (const index_t i : blk.boundary_rows) relax_row(i);
 }
 
-/// One sampled in-place relaxation of own row i (the row a RowSampler
-/// drew): residual from the latest mirror/ghost values, published to r,
-/// then the correction committed immediately — like one row of
-/// relax_block_gs, except the row order comes from the policy instead of
-/// the ascending sweep. Later draws of the same local iteration see the
-/// update through the mirror; other threads see it through x.
+/// One in-place relaxation of own row i (the row a RowSampler drew, or the
+/// next row of the Gauss-Seidel sweep below): residual from the latest
+/// mirror/ghost values, published to r, then the correction committed
+/// immediately. Later rows of the same local iteration see the update
+/// through the mirror; other threads see it through x.
 template <class Faults>
 inline void relax_row_sampled(const BlockedCsr::Block& blk, const CsrMatrix& a,
                               std::span<const double> b, OwnBlockState& own,
@@ -317,6 +276,21 @@ inline void relax_row_sampled(const BlockedCsr::Block& blk, const CsrMatrix& a,
   const double nx = own.x[li] + blk.inv_diag[li] * acc;
   x.write(i, nx);
   own.x[li] = nx;
+}
+
+/// In-place forward Gauss-Seidel sweep over the block: relax_row_sampled on
+/// every own row in ascending order (so interior/boundary fusion does not
+/// apply). Each row's update is visible to the following rows via the
+/// mirror and to other threads via x immediately, matching the reference
+/// sweep bitwise.
+template <class Faults>
+inline void relax_block_gs(const BlockedCsr::Block& blk, const CsrMatrix& a,
+                           std::span<const double> b, OwnBlockState& own,
+                           SharedVector& x, SharedVector& r, Faults& faults)
+    AJAC_REQUIRES(own.owner, x.writer_role(), r.writer_role()) {
+  for (index_t i = blk.lo; i < blk.hi; ++i) {
+    relax_row_sampled(blk, a, b, own, x, r, faults, i);
+  }
 }
 
 /// Traced sampled relaxation: relax_row_sampled plus the read-version
@@ -386,8 +360,8 @@ inline void relax_row_sampled_traced(
 // same values (num_threads=1, synchronous mode).
 //
 // All batch kernels take caller-provided scratch spans (k lanes each) so the
-// hot loop performs no allocation; solve_shared_batch sizes them once per
-// thread before the iteration loop.
+// hot loop performs no allocation; the batch lane's worker sizes them once
+// per thread before the iteration loop.
 
 /// Thread-private mirror of the thread's own rows of the shared batch x
 /// (batch analogue of OwnBlockState; the batch path is never traced, so no

@@ -1,795 +1,357 @@
-// Batched (multi-RHS) shared-memory Jacobi: k independent systems sharing
-// one matrix traversal (see solve_shared_batch in shared_jacobi.hpp).
+// Batched (multi-RHS) shared-memory Jacobi: the batch lane of the shared
+// worker (shared_worker.hpp), k independent systems sharing one matrix
+// traversal (see solve_shared_batch in shared_jacobi.hpp).
 //
-// Control flow replicates solve_shared_impl (shared_jacobi.cpp) with every
-// per-run scalar widened to k lanes and the convergence machinery made
-// per-column: per-(thread, column) flags, a per-column verified stop, and a
-// per-column freeze. The bitwise contract — column c of a synchronous (or
-// 1-thread asynchronous) batch equals the single-RHS solve of column c —
-// rests on three invariants held throughout this file:
-//
-//   1. Per lane, every arithmetic expression (residual accumulation in CSR
-//      entry order, `x + inv_diag * r`, the ascending-row residual-norm
-//      sum, the verify scan, the polish sweep) is the scalar path's
-//      expression evaluated on the same values in the same order.
-//   2. A column freezes at exactly the iteration boundary where its
-//      single-RHS run would have exited the while loop: the verified stop
-//      of iteration m masks the column's commits from iteration m+1 on, so
-//      its x never moves again (frozen lanes keep riding in the SIMD unit,
-//      republishing identical bits).
-//   3. Frozen columns are excluded from flags, verify, and the stop
-//      decision, so the remaining columns' control flow is unaffected by
-//      how many neighbors already converged.
-
-#include <omp.h>
-#include <sched.h>
+// The worker runs the same control plane as the single-RHS call, with its
+// per-column termination protocol at full width: per-(thread, column)
+// flags, a per-column verified stop, and a per-column freeze. This lane
+// keeps the k columns row-major in a SharedMultiVector and drives the
+// `*_batch` kernels (blocked_kernels.hpp), where one CSR gather feeds k
+// unit-stride SIMD lanes; each lane evaluates the scalar lane's
+// expressions on the same values in the same order, so column c of a
+// synchronous (or 1-thread asynchronous) batch is bitwise the single-RHS
+// solve of column c. The scalar-only features (traces, histories, the GS
+// sweep, kSellCS, fp32 ghosts) are rejected at entry.
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdint>
-#include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "ajac/obs/metrics.hpp"
 #include "ajac/obs/stream.hpp"
 #include "ajac/runtime/blocked_kernels.hpp"
-#include "ajac/runtime/row_policy.hpp"
 #include "ajac/runtime/shared_jacobi.hpp"
 #include "ajac/runtime/shared_multi_vector.hpp"
 #include "ajac/sparse/blocked_csr.hpp"
 #include "ajac/sparse/csr.hpp"
 #include "ajac/sparse/multi_vector.hpp"
-#include "ajac/sparse/validate.hpp"
-#include "ajac/sparse/vector_ops.hpp"
 #include "ajac/util/annotate.hpp"
 #include "ajac/util/check.hpp"
-#include "ajac/util/timer.hpp"
-#include "solve_hooks.hpp"
+#include "shared_worker.hpp"
 
 namespace ajac::runtime {
 
 namespace {
 
-using detail::ActiveBatchFaults;
-using detail::ActiveMetrics;
-using detail::ActiveStream;
-using detail::NullBatchFaults;
-using detail::NullMetrics;
-using detail::NullStream;
+using detail::RunRecord;
+using detail::Setup;
 
-template <class Faults, class Metrics, class Stream, bool Blocked>
-SharedBatchResult solve_shared_batch_impl(
-    const CsrMatrix& a, const MultiVector& b, const MultiVector& x0,
-    const SharedOptions& opts, const partition::Partition& part,
-    const Vector& inv_diag, const fault::FaultPlan* plan,
-    const BlockedCsr* blocked) {
-  const index_t n = a.num_rows();
-  const index_t k = b.num_cols();
-  const auto k_sz = static_cast<std::size_t>(k);
+/// k right-hand sides in a SharedMultiVector (see shared_worker.hpp for the
+/// lane-policy interface).
+struct BatchLane {
+  using Dense = MultiVector;
+  using Shared = SharedMultiVector;
+  using Result = SharedBatchResult;
+  static constexpr auto kConvention =
+      obs::ResidualConvention::kUpperBoundMax;
 
-  SharedMultiVector x(n, k, /*traced=*/false);
-  SharedMultiVector r(n, k, /*traced=*/false);
-  // Single-threaded setup: this thread is momentarily the sole writer of
-  // both shared vectors (the workers have not been forked yet).
-  x.writer_role().assert_held();
-  r.writer_role().assert_held();
-  x.init(x0);
-  MultiVector r0(n, k);
-  mv::residual(a, x0, b, r0);
-  r.init(r0);
-  // Per-column r0 norm, bitwise the scalar path's (mv::colwise_norm1 sums
-  // rows ascending, exactly vec::norm1 of the column).
-  Vector r0_norm(k_sz);
-  mv::colwise_norm1(r0, r0_norm);
-  for (double& v : r0_norm) v = v > 0.0 ? v : 1.0;
-
-  // flags[t * k + c]: thread t's stopping criterion for column c.
-  std::vector<std::atomic<int>> flags(
-      static_cast<std::size_t>(opts.num_threads) * k_sz);
-  // racy-ok(init): single-threaded setup; the OpenMP fork publishes it.
-  for (auto& f : flags) f.store(0, std::memory_order_relaxed);
-  std::vector<std::atomic<int>> col_stopped(k_sz);
-  // racy-ok(init): single-threaded setup; the OpenMP fork publishes it.
-  for (auto& s : col_stopped) s.store(0, std::memory_order_relaxed);
-  std::vector<std::atomic<index_t>> iter_counts(
-      static_cast<std::size_t>(opts.num_threads));
-  // racy-ok(init): single-threaded setup; the OpenMP fork publishes it.
-  for (auto& c : iter_counts) c.store(0, std::memory_order_relaxed);
-  std::atomic<int> stop{0};
-
-  SharedBatchResult result;
-  result.iterations_per_thread.assign(
-      static_cast<std::size_t>(opts.num_threads), 0);
-  result.stop_iteration.assign(k_sz, 0);
-  result.relaxations_per_column.assign(k_sz, 0);
-  std::vector<std::vector<index_t>> col_relax(
-      static_cast<std::size_t>(opts.num_threads));
-  std::vector<fault::FaultLog> fault_logs(
-      static_cast<std::size_t>(opts.num_threads));
-
-  WallTimer timer;
-
-  // Fork/join happens-before edges for TSan (libgomp futexes are invisible
-  // to it); everything crossing threads inside the region is std::atomic.
-  AJAC_TSAN_RELEASE(&result);
-
-#pragma omp parallel num_threads(static_cast<int>(opts.num_threads))
-  {
-    AJAC_TSAN_ACQUIRE(&result);
-    const auto t = static_cast<index_t>(omp_get_thread_num());
-    const index_t lo = part.part_begin(t);
-    const index_t hi = part.part_end(t);
-    const index_t rows = hi - lo;
-    const double delay =
-        opts.delay_us.empty() ? 0.0
-                              : opts.delay_us[static_cast<std::size_t>(t)];
-
-    // All per-iteration scratch is sized here, before the loop: the hot
-    // path performs no allocation (satellite requirement — the per-column
-    // norm reduction in particular runs in the hoisted `norms` buffer).
-    std::vector<double> active(k_sz, 1.0);  ///< 1.0 = column still converging
-    std::vector<double> norms(k_sz, 0.0);
-    std::vector<double> acc(k_sz, 0.0);
-    std::vector<double> ghost(k_sz, 0.0);
-    std::vector<double> rrow(k_sz, 0.0);
-    std::vector<double> xrow(k_sz, 0.0);
-    auto& my_col_relax = col_relax[static_cast<std::size_t>(t)];
-    my_col_relax.assign(k_sz, 0);
-    // Relax->commit carrier for the reference kernels (batch analogue of
-    // local_r); the blocked kernels publish residual rows inline instead.
-    MultiVector local_r(Blocked ? 0 : rows, k);
-
-    Faults faults(a, x0, plan, t, lo, hi, x);
-    Metrics metrics(opts.metrics, t, timer);
-    Stream stream(opts.stream, t, timer);
-    // Own-block per-column partial norms for the beacon (hoisted with the
-    // rest of the per-iteration scratch; sized 0 on the null path).
-    [[maybe_unused]] std::vector<double> own_norms(
-        Stream::enabled ? k_sz : std::size_t{0}, 0.0);
-
-    // Sampled row-selection policy: per-thread counter-based stream over
-    // the own rows, same (policy_seed, thread, iter, slot) coordinates as
-    // the single-RHS path — k = 1 batch runs draw the same rows bitwise.
-    const bool sampled = is_sampled(opts.policy);
-    std::optional<RowSampler> sampler;
-    // Scratch for the weighted refresh: lane-max |true residual| of each
-    // own row, first pass of the stencil-smoothed weights (see below).
-    std::vector<double> snapshot_r;
-    if (sampled) {
-      sampler.emplace(opts.policy, opts.policy_seed, t, lo, hi,
-                      opts.weight_refresh);
-      if (opts.policy == RowPolicy::kResidualWeighted) {
-        snapshot_r.assign(static_cast<std::size_t>(rows), 0.0);
-      }
-    }
-    [[maybe_unused]] std::vector<std::uint32_t> pick_counts;
-    if constexpr (Metrics::enabled) {
-      if (sampled) pick_counts.assign(static_cast<std::size_t>(rows), 0);
-    }
-
-    [[maybe_unused]] const BlockedCsr::Block* blk = nullptr;
-    [[maybe_unused]] OwnBlockBatchState own;
-
-    // The partition makes this thread the sole writer of rows [lo, hi) of
-    // x and r, and of its private mirror: claim the roles every protocol
-    // write and kernel call below requires (claims, not locks).
-    x.writer_role().assert_held();
-    r.writer_role().assert_held();
-    own.owner.assert_held();
-
-    if constexpr (Blocked) {
-      blk = &blocked->block(t);
-      refresh_own_block_batch(*blk, x, own);
-    }
-
-    // Per-column verification gate, mirroring verify_and_maybe_stop of the
-    // single-RHS path: flags rest on racy residual reads, so before a
-    // column actually stops, recompute a fresh residual of that column
-    // from the current shared x (or check the true iteration counters).
-    auto verify_column = [&](index_t c, index_t iter) {
-      bool all_at_max = true;
-      for (auto& cnt : iter_counts) {
-        // racy-ok(monotonic): counters only grow; a stale read can only
-        // delay the stop decision, never produce a premature one.
-        if (cnt.load(std::memory_order_relaxed) < opts.max_iterations) {
-          all_at_max = false;
-          break;
-        }
-      }
-      bool tol_met = false;
-      if (!all_at_max && opts.tolerance > 0.0) {
-        double fresh = 0.0;
-        for (index_t i = 0; i < n; ++i) {
-          double row_acc = b(i, c);
-          const auto [cols, vals] = a.row(i);
-          for (std::size_t p = 0; p < cols.size(); ++p) {
-            row_acc -= vals[p] * x.read(cols[p], c);
-          }
-          fresh += std::abs(row_acc);
-        }
-        tol_met = fresh / r0_norm[static_cast<std::size_t>(c)] <=
-                  opts.tolerance;
-      }
-      if (all_at_max || tol_met) {
-        // racy-ok(monotonic): 0 -> 1 latch; the exchange only elects the
-        // single writer of stop_iteration (read after the join).
-        if (col_stopped[static_cast<std::size_t>(c)].exchange(
-                1, std::memory_order_relaxed) == 0) {
-          // Winner records where the column stopped; read after the join.
-          result.stop_iteration[static_cast<std::size_t>(c)] = iter;
-        }
-      }
-    };
-
-    // Per-column stop poll: verify any column whose every per-thread flag
-    // is up, then broadcast the global stop once all columns are stopped.
-    auto poll_column_stops = [&](index_t it) {
-      for (index_t c = 0; c < k; ++c) {
-        // racy-ok(monotonic): 0 -> 1 latch; stale reads only defer work.
-        if (col_stopped[static_cast<std::size_t>(c)].load(
-                std::memory_order_relaxed) != 0) {
-          continue;
-        }
-        int done_count = 0;
-        for (index_t tt = 0; tt < opts.num_threads; ++tt) {
-          // racy-ok(flag): flag hints; verify_column re-checks for real.
-          done_count += flags[static_cast<std::size_t>(tt) * k_sz +
-                              static_cast<std::size_t>(c)]
-                            .load(std::memory_order_relaxed);
-        }
-        if (done_count == static_cast<int>(opts.num_threads)) {
-          verify_column(c, it);
-        }
-      }
-      index_t stopped = 0;
-      for (auto& s : col_stopped) {
-        // racy-ok(monotonic): 0 -> 1 latch, polled.
-        stopped += s.load(std::memory_order_relaxed) != 0 ? 1 : 0;
-      }
-      // racy-ok(stop): 0 -> 1 broadcast; the exchange elects the single
-      // recorder of the stop event, results are read after the join.
-      if (stopped == k && stop.exchange(1, std::memory_order_relaxed) == 0) {
-        if constexpr (Metrics::enabled) metrics.stop_decided();
-      }
-    };
-
-    index_t iter = 0;
-    [[maybe_unused]] double last_own_rel = 0.0;
-    // racy-ok(stop): stop only transitions 0 -> 1; a stale read costs one
-    // extra polling pass, nothing more.
-    while (stop.load(std::memory_order_relaxed) == 0) {
-      if (iter >= opts.max_iterations) {
-        // Parked at the iteration cap (see shared_jacobi.cpp): relaxing
-        // past the cap would make the executed (thread, iteration) set —
-        // and with it the fault log — scheduler-timed. This thread's flags
-        // for every active column went up when iter reached the cap; keep
-        // polling the other threads' flags until every column stops.
-        poll_column_stops(iter);
-        sched_yield();
-        continue;
-      }
-      if constexpr (Metrics::enabled) metrics.iteration_begin();
-      if (delay > 0.0) {
-        spin_wait_us(delay);
-        if constexpr (Metrics::enabled) metrics.spin_wait(delay);
-      }
-      if constexpr (Faults::enabled) faults.begin_iteration(iter);
-      if constexpr (Faults::enabled && Blocked) {
-        if (faults.consume_state_reset()) refresh_own_block_batch(*blk, x, own);
-      }
-      if constexpr (Metrics::enabled) metrics.sync_faults(faults);
-
-      // Refresh the freeze mask. col_stopped only ever goes 0 -> 1, so a
-      // racy read is safe: once a thread observes a column stopped it stays
-      // stopped. In synchronous mode the stores happen before the previous
-      // iteration's closing barrier, so all threads flip the mask together
-      // — the alignment the bitwise contract needs.
-      index_t active_cols = 0;
-      for (index_t c = 0; c < k; ++c) {
-        // racy-ok(monotonic): 0 -> 1 latch; observing the stop late keeps
-        // the lane riding (and republishing identical bits) one more pass.
-        const bool on =
-            col_stopped[static_cast<std::size_t>(c)].load(
-                std::memory_order_relaxed) == 0;
-        active[static_cast<std::size_t>(c)] = on ? 1.0 : 0.0;
-        active_cols += on ? 1 : 0;
-      }
-
-      // Step 1: batched residual on own rows from the shared (racy) x.
-      // All k lanes are computed, frozen ones included — a frozen lane
-      // recomputes its (already final) residual from a frozen column,
-      // which costs nothing extra and keeps the SIMD loop maskless.
-      if (sampled) {
-        // Sampled policies relax in place: each draw recomputes row i's
-        // residual and commits the masked correction immediately, so the
-        // separate step-2 commit below is skipped. Draw count per local
-        // iteration equals the block size, keeping the iteration /
-        // relaxation bookkeeping identical to the sweeping kernels.
-        if (sampler->refresh_due(iter)) {
-          // Two passes, mirroring the single-RHS refresh: lane-max |true
-          // residual| of each own row recomputed from an x snapshot (not
-          // the published r, whose pre-update values go stale under
-          // in-place draws), then the stencil-smoothed weight (|A| |r|)_i
-          // over the own block — see row_policy.hpp. Reads bypass fault
-          // injection: the policy stream must not consume fault decisions.
-          for (index_t i = lo; i < hi; ++i) {
-            const auto [cols, vals] = a.row(i);
-            const double* br = b.row(i);
-            for (index_t c = 0; c < k; ++c) {
-              rrow[static_cast<std::size_t>(c)] = br[c];
-            }
-            for (std::size_t p = 0; p < cols.size(); ++p) {
-              x.read_row(cols[p], xrow);
-              for (index_t c = 0; c < k; ++c) {
-                rrow[static_cast<std::size_t>(c)] -=
-                    vals[p] * xrow[static_cast<std::size_t>(c)];
-              }
-            }
-            double m = 0.0;
-            for (index_t c = 0; c < k; ++c) {
-              m = std::max(m, std::abs(rrow[static_cast<std::size_t>(c)]));
-            }
-            snapshot_r[static_cast<std::size_t>(i - lo)] = m;
-          }
-          sampler->refresh_weights([&](index_t i) {
-            const auto [cols, vals] = a.row(i);
-            double w = 0.0;
-            for (std::size_t p = 0; p < cols.size(); ++p) {
-              const index_t j = cols[p];
-              if (j >= lo && j < hi) {
-                w += std::abs(vals[p]) *
-                     snapshot_r[static_cast<std::size_t>(j - lo)];
-              }
-            }
-            return w;
-          });
-          if constexpr (Metrics::enabled) metrics.weight_refresh();
-          if constexpr (Stream::enabled) stream.weight_refresh();
-        }
-        for (index_t slot = 0; slot < rows; ++slot) {
-          const index_t i = sampler->next(iter, slot);
-          if constexpr (Metrics::enabled) {
-            ++pick_counts[static_cast<std::size_t>(i - lo)];
-          }
-          if constexpr (Blocked) {
-            relax_row_sampled_batch(*blk, a, b, own, x, faults, r, active,
-                                    acc, ghost, i);
-          } else {
-            const auto [cols, vals] = a.row(i);
-            const double* br = b.row(i);
-#pragma omp simd
-            for (index_t c = 0; c < k; ++c) {
-              acc[static_cast<std::size_t>(c)] = br[c];
-            }
-            FlippedEntry flipped;
-            bool has_flip = false;
-            if constexpr (Faults::enabled) {
-              has_flip = faults.flip(i, cols, vals, flipped);
-            }
-            for (std::size_t p = 0; p < cols.size(); ++p) {
-              double aij = vals[p];
-              if constexpr (Faults::enabled) {
-                if (has_flip && flipped.entry == p) aij = flipped.value;
-              }
-              faults.read_row(x, cols[p], xrow);
-#pragma omp simd
-              for (index_t c = 0; c < k; ++c) {
-                acc[static_cast<std::size_t>(c)] -=
-                    aij * xrow[static_cast<std::size_t>(c)];
-              }
-            }
-            r.write_row(i, {acc.data(), k_sz});
-            x.read_row(i, xrow);
-            const double inv = inv_diag[i];
-#pragma omp simd
-            for (index_t c = 0; c < k; ++c) {
-              const double nx = xrow[static_cast<std::size_t>(c)] +
-                                inv * acc[static_cast<std::size_t>(c)];
-              xrow[static_cast<std::size_t>(c)] =
-                  active[static_cast<std::size_t>(c)] != 0.0
-                      ? nx
-                      : xrow[static_cast<std::size_t>(c)];
-            }
-            x.write_row(i, xrow);
-          }
-        }
-      } else if constexpr (Blocked) {
-        relax_interior_batch(*blk, a, b, own, faults, r, acc);
-        relax_boundary_batch(*blk, a, b, own, x, faults, r, acc, ghost);
-      } else {
-        for (index_t i = lo; i < hi; ++i) {
-          const auto [cols, vals] = a.row(i);
-          const double* br = b.row(i);
-          double* lr = local_r.row(i - lo);
-#pragma omp simd
-          for (index_t c = 0; c < k; ++c) lr[c] = br[c];
-          FlippedEntry flipped;
-          bool has_flip = false;
-          if constexpr (Faults::enabled) {
-            has_flip = faults.flip(i, cols, vals, flipped);
-          }
-          for (std::size_t p = 0; p < cols.size(); ++p) {
-            double aij = vals[p];
-            if constexpr (Faults::enabled) {
-              if (has_flip && flipped.entry == p) aij = flipped.value;
-            }
-            faults.read_row(x, cols[p], xrow);
-#pragma omp simd
-            for (index_t c = 0; c < k; ++c) {
-              lr[c] -= aij * xrow[static_cast<std::size_t>(c)];
-            }
-          }
-        }
-        for (index_t i = lo; i < hi; ++i) {
-          r.write_row(i, {local_r.row(i - lo), k_sz});
-        }
-      }
-      if constexpr (Metrics::enabled && Blocked) {
-        metrics.read_mix(blk->local_nnz, blk->ghost_nnz);
-      }
-
-      if (opts.synchronous) {
-#pragma omp barrier
-      }
-
-      // Step 2: correct own rows — masked per column (invariant 2). The
-      // sampled policies already committed in place per draw.
-      if (!sampled) {
-        if constexpr (Blocked) {
-          commit_block_batch(*blk, own, x, r, active, rrow);
-        } else {
-          for (index_t i = lo; i < hi; ++i) {
-            x.read_row(i, xrow);
-            const double* lr = local_r.row(i - lo);
-            const double inv = inv_diag[i];
-#pragma omp simd
-            for (index_t c = 0; c < k; ++c) {
-              const double nx =
-                  xrow[static_cast<std::size_t>(c)] + inv * lr[c];
-              xrow[static_cast<std::size_t>(c)] =
-                  active[static_cast<std::size_t>(c)] != 0.0
-                      ? nx
-                      : xrow[static_cast<std::size_t>(c)];
-            }
-            x.write_row(i, xrow);
-          }
-        }
-      }
-      ++iter;
-      // racy-ok(monotonic): published for the verification gate; it only
-      // needs an eventually-fresh lower bound.
-      iter_counts[static_cast<std::size_t>(t)].store(
-          iter, std::memory_order_relaxed);
-      for (index_t c = 0; c < k; ++c) {
-        if (active[static_cast<std::size_t>(c)] != 0.0) {
-          my_col_relax[static_cast<std::size_t>(c)] += rows;
-        }
-      }
-      if constexpr (Metrics::enabled) {
-        metrics.batch_iteration(rows, active_cols);
-      }
-
-      // Step 3: per-column convergence check — the whole shared residual,
-      // racy reads, accumulated column-blocked into the hoisted `norms`
-      // buffer (rows ascending per column, bitwise the scalar scan).
-      if constexpr (Metrics::enabled) metrics.residual_check_begin();
-      std::fill(norms.begin(), norms.end(), 0.0);
-      if constexpr (Stream::enabled) {
-        // Same scan with the own rows' terms mirrored into the per-column
-        // own-block accumulators for the beacon: every term still lands in
-        // `norms` in the original row order, so the streamed run's residual
-        // check is bitwise the unstreamed one's.
-        std::fill(own_norms.begin(), own_norms.end(), 0.0);
-        for (index_t i = 0; i < n; ++i) {
-          r.read_row(i, rrow);
-          if (i >= lo && i < hi) {
-#pragma omp simd
-            for (index_t c = 0; c < k; ++c) {
-              const double v = std::abs(rrow[static_cast<std::size_t>(c)]);
-              norms[static_cast<std::size_t>(c)] += v;
-              own_norms[static_cast<std::size_t>(c)] += v;
-            }
-          } else {
-#pragma omp simd
-            for (index_t c = 0; c < k; ++c) {
-              norms[static_cast<std::size_t>(c)] +=
-                  std::abs(rrow[static_cast<std::size_t>(c)]);
-            }
-          }
-        }
-      } else {
-        for (index_t i = 0; i < n; ++i) {
-          r.read_row(i, rrow);
-#pragma omp simd
-          for (index_t c = 0; c < k; ++c) {
-            norms[static_cast<std::size_t>(c)] +=
-                std::abs(rrow[static_cast<std::size_t>(c)]);
-          }
-        }
-      }
-      if constexpr (Metrics::enabled) metrics.residual_check_end();
-      if constexpr (Stream::enabled) {
-        // Beacon value under kUpperBoundMax: worst still-relative lane,
-        // max over columns of (own-block column norm / column r0 norm).
-        double worst = 0.0;
-        for (index_t c = 0; c < k; ++c) {
-          worst = std::max(worst, own_norms[static_cast<std::size_t>(c)] /
-                                      r0_norm[static_cast<std::size_t>(c)]);
-        }
-        last_own_rel = worst;
-      }
-
-      bool my_all_done = true;
-      for (index_t c = 0; c < k; ++c) {
-        if (active[static_cast<std::size_t>(c)] == 0.0) continue;
-        const double rel =
-            norms[static_cast<std::size_t>(c)] /
-            r0_norm[static_cast<std::size_t>(c)];
-        const bool my_done =
-            (opts.tolerance > 0.0 && rel <= opts.tolerance) ||
-            iter >= opts.max_iterations;
-        // racy-ok(flag): the paper's termination flags rest on racy
-        // residual reads by design; verify_column re-checks before a
-        // column actually stops.
-        flags[static_cast<std::size_t>(t) * k_sz +
-              static_cast<std::size_t>(c)]
-            .store(my_done ? 1 : 0, std::memory_order_relaxed);
-        my_all_done = my_all_done && my_done;
-      }
-      if constexpr (Metrics::enabled) {
-        if (active_cols > 0) metrics.flag_update(my_all_done, iter);
-      }
-
-      if (opts.synchronous) {
-#pragma omp barrier
-      }
-      poll_column_stops(iter);
-      if (opts.synchronous) {
-        // Keep lockstep: every thread must pass the same number of
-        // barriers, and all see the verified stop decisions together.
-#pragma omp barrier
-      }
-      if constexpr (Metrics::enabled) metrics.iteration_end(iter - 1, rows);
-      if constexpr (Stream::enabled) {
-        if (stream.due(iter)) {
-          stream.publish(iter, rows, last_own_rel,
-                         sampled ? static_cast<std::uint64_t>(iter) *
-                                       static_cast<std::uint64_t>(rows)
-                                 : 0);
-        }
-      }
-      // racy-ok(stop): monotonic 0 -> 1, polled.
-      if (opts.yield && stop.load(std::memory_order_relaxed) == 0) {
-        sched_yield();
-      }
-    }
-    if constexpr (Stream::enabled) {
-      // Terminal beacon: the monitor always sees this thread's final state
-      // even when the last iteration missed the stride.
-      stream.finish(iter, rows, last_own_rel,
-                    sampled ? static_cast<std::uint64_t>(iter) *
-                                  static_cast<std::uint64_t>(rows)
-                            : 0);
-    }
-    result.iterations_per_thread[static_cast<std::size_t>(t)] = iter;
-    if constexpr (Metrics::enabled) {
-      if (sampled) metrics.policy_counts(pick_counts);
-    }
-    if constexpr (Faults::enabled) {
-      fault_logs[static_cast<std::size_t>(t)] = faults.take_log();
-    }
-    AJAC_TSAN_RELEASE(&result);
+  static void check_inputs(const MultiVector& b, const MultiVector& x0,
+                           index_t n) {
+    AJAC_CHECK(b.num_rows() == n && x0.num_rows() == n);
+    AJAC_CHECK(b.num_cols() >= 1);
+    AJAC_CHECK_MSG(b.num_cols() == x0.num_cols(),
+                   "b and x0 must carry the same number of columns");
   }
-  AJAC_TSAN_ACQUIRE(&result);
 
-  result.seconds = timer.seconds();
-  result.x = MultiVector(n, k);
-  x.snapshot(result.x);
+  static void check_options(const SharedOptions& opts) {
+    AJAC_CHECK_MSG(!opts.record_trace,
+                   "read-version traces are single-RHS only (the batch "
+                   "seqlock is per row; use solve_shared for Sec. IV trace "
+                   "runs)");
+    AJAC_CHECK_MSG(!opts.record_history,
+                   "per-thread residual histories are single-RHS only; batch "
+                   "runs report per-column results instead");
+    AJAC_CHECK_MSG(!opts.local_gauss_seidel,
+                   "the in-place local sweep has no batched kernel");
+    AJAC_CHECK_MSG(opts.kernel != KernelKind::kSellCS,
+                   "the bandwidth-engineered kSellCS data plane has no "
+                   "batched kernel (use kBlocked for multi-RHS runs)");
+    AJAC_CHECK_MSG(opts.ghost_precision == GhostPrecision::kFp64,
+                   "fp32 ghost publication is kSellCS-only, which the batch "
+                   "path does not support");
+  }
 
-  // Per-column serial verification + polish, each column exactly the
-  // single-RHS epilogue on its extracted column (invariant 1).
-  result.converged.assign(k_sz, false);
-  result.final_rel_residual_1.assign(k_sz, 0.0);
-  result.polish_sweeps.assign(k_sz, 0);
-  [[maybe_unused]] double polish_t0_us = 0.0;
-  if constexpr (Metrics::enabled) polish_t0_us = timer.seconds() * 1e6;
-  index_t total_polish = 0;
-  for (index_t c = 0; c < k; ++c) {
-    const auto cs = static_cast<std::size_t>(c);
-    Vector xc = result.x.column(c);
+  static index_t width(const MultiVector& b) { return b.num_cols(); }
+  static std::span<const double> values(const MultiVector& v) {
+    return v.raw();
+  }
+  static SharedMultiVector make_shared(index_t n, index_t k, bool traced) {
+    return SharedMultiVector(n, k, traced);
+  }
+  static MultiVector make_dense(index_t n, index_t k) {
+    return MultiVector(n, k);
+  }
+  static MultiVector snapshot(const SharedMultiVector& x) {
+    MultiVector out(x.num_rows(), x.num_cols());
+    x.snapshot(out);
+    return out;
+  }
+
+  /// One CSR traversal for all k columns; column c of r is bitwise
+  /// CsrMatrix::residual of column c and its norm bitwise vec::norm1.
+  static void residual(const CsrMatrix& a, const MultiVector& x,
+                       const MultiVector& b, MultiVector& r,
+                       std::span<double> norms) {
+    mv::residual(a, x, b, r);
+    mv::colwise_norm1(r, norms);
+  }
+
+  static double fresh_residual(const CsrMatrix& a, const MultiVector& b,
+                               const SharedMultiVector& x, index_t c) {
+    double fresh = 0.0;
+    for (index_t i = 0; i < a.num_rows(); ++i) {
+      double acc = b(i, c);
+      const auto [cols, vals] = a.row(i);
+      for (std::size_t p = 0; p < cols.size(); ++p) {
+        acc -= vals[p] * x.read(cols[p], c);
+      }
+      fresh += std::abs(acc);
+    }
+    return fresh;
+  }
+
+  /// Polish works on one extracted column; only columns that need polish
+  /// are ever copied out.
+  template <class F>
+  static void with_column(MultiVector& x, const MultiVector& r,
+                          const MultiVector& b, index_t c, F&& f) {
+    Vector xc = x.column(c);
+    Vector rc = r.column(c);
     const Vector bc = b.column(c);
-    Vector final_r(static_cast<std::size_t>(n));
-    a.residual(xc, bc, final_r);
-    double rel = vec::norm1(final_r) / r0_norm[cs];
-    if (opts.final_polish && opts.tolerance > 0.0 && rel > opts.tolerance) {
-      const index_t polish_cap = 20 * opts.num_threads + 200;
-      index_t sweeps = 0;
-      while (sweeps < polish_cap && rel > opts.tolerance) {
-        for (index_t i = 0; i < n; ++i) {
-          xc[static_cast<std::size_t>(i)] += inv_diag[i] * final_r[i];
-        }
-        a.residual(xc, bc, final_r);
-        rel = vec::norm1(final_r) / r0_norm[cs];
-        ++sweeps;
+    f(std::span<double>(xc), std::span<double>(rc),
+      std::span<const double>(bc));
+    x.set_column(c, xc);
+  }
+
+  /// kUpperBoundMax: worst still-relative lane, max over columns of
+  /// (own-block column norm / column r0 norm).
+  static double beacon(std::span<const double> own,
+                       std::span<const double> r0_norm) {
+    double worst = 0.0;
+    for (std::size_t c = 0; c < own.size(); ++c) {
+      worst = std::max(worst, own[c] / r0_norm[c]);
+    }
+    return worst;
+  }
+  static double beacon_scale(std::span<const double> /*r0_norm*/) {
+    return 1.0;
+  }
+
+  template <class Metrics>
+  static void count_lanes(Metrics& metrics, index_t rows,
+                          index_t active_cols) {
+    if constexpr (Metrics::enabled) metrics.batch_iteration(rows, active_cols);
+  }
+
+  static SharedBatchResult make_result(RunRecord<MultiVector>&& run,
+                                       const Setup<BatchLane>& s) {
+    SharedBatchResult result;
+    result.x = std::move(run.x);
+    result.seconds = run.seconds;
+    result.converged = std::move(run.converged);
+    result.final_rel_residual_1 = std::move(run.final_rel_residual_1);
+    result.stop_iteration = std::move(run.stop_iteration);
+    result.polish_sweeps = std::move(run.polish_sweeps);
+    result.relaxations_per_column = std::move(run.relaxations_per_column);
+    for (const index_t sum : result.relaxations_per_column) {
+      result.total_relaxations += sum;
+      if (s.opts.metrics != nullptr) {
+        obs::ActorSlot& slot0 = s.opts.metrics->actor(0);
+        slot0.owner.assert_held();  // post-join epilogue
+        slot0.record(obs::Hist::kColumnRelaxations,
+                     static_cast<std::uint64_t>(sum));
       }
-      result.polish_sweeps[cs] = sweeps;
-      total_polish += sweeps;
-      result.x.set_column(c, xc);
     }
-    result.final_rel_residual_1[cs] = rel;
-    result.converged[cs] = opts.tolerance > 0.0 && rel <= opts.tolerance;
-  }
-  if constexpr (Metrics::enabled) {
-    obs::ActorSlot& slot0 = opts.metrics->actor(0);
-    // Post-join epilogue: the workers are gone, this thread owns slot 0.
-    slot0.owner.assert_held();
-    if (total_polish > 0) {
-      slot0.add(obs::Counter::kPolishSweeps,
-                static_cast<std::uint64_t>(total_polish));
-      slot0.span(obs::TraceKind::kPolish, polish_t0_us,
-                 timer.seconds() * 1e6, total_polish);
-    }
-    slot0.span(obs::TraceKind::kSolve, 0.0, timer.seconds() * 1e6);
+    result.iterations_per_thread = std::move(run.iterations_per_thread);
+    result.fault_events = std::move(run.fault_events);
+    return result;
   }
 
-  for (index_t c = 0; c < k; ++c) {
-    index_t sum = 0;
-    for (index_t t = 0; t < opts.num_threads; ++t) {
-      sum += col_relax[static_cast<std::size_t>(t)][static_cast<std::size_t>(c)];
-    }
-    result.relaxations_per_column[static_cast<std::size_t>(c)] = sum;
-    result.total_relaxations += sum;
-    if constexpr (Metrics::enabled) {
-      obs::ActorSlot& sl = opts.metrics->actor(0);
-      sl.owner.assert_held();  // post-join epilogue
-      sl.record(obs::Hist::kColumnRelaxations,
-                static_cast<std::uint64_t>(sum));
+  template <class Faults, class Metrics, bool Blocked>
+  class Worker;
+};
+
+/// Per-thread data plane of the batch lane: the k-wide own-block mirror and
+/// k lanes of scratch each, sized before the loop so the hot path performs
+/// no allocation. Every method claims the sole-writer roles the partition
+/// gives this thread (claims, not locks).
+template <class Faults, class Metrics, bool Blocked>
+class BatchLane::Worker {
+ public:
+  Worker(const Setup<BatchLane>& s, index_t t, SharedMultiVector& x,
+         SharedMultiVector& r, Faults& faults, Metrics& /*metrics*/,
+         std::vector<model::RelaxationEvent>& /*events*/)
+      : s_(s), k_(s.b.num_cols()), lo_(s.part.part_begin(t)),
+        hi_(s.part.part_end(t)), x_(x), r_(r), faults_(faults),
+        acc_(static_cast<std::size_t>(k_)), ghost_(acc_.size()),
+        rrow_(acc_.size()), xrow_(acc_.size()),
+        // Relax->commit carrier for the reference kernels (the blocked
+        // kernels publish residual rows inline instead).
+        local_r_(Blocked ? 0 : hi_ - lo_, k_) {
+    if constexpr (Blocked) {
+      blk_ = &s.blocked->block(t);
+      refresh_own();
     }
   }
 
-  if constexpr (Faults::enabled) {
-    for (auto& log : fault_logs) {
-      result.fault_events.insert(result.fault_events.end(), log.begin(),
-                                 log.end());
+  void refresh_own() {
+    own_.owner.assert_held();
+    if constexpr (Blocked) refresh_own_block_batch(*blk_, x_, own_);
+  }
+
+  /// Lane-max |true residual| of own row i from an x snapshot, bypassing
+  /// faults.
+  double true_residual(index_t i) {
+    const auto [cols, vals] = s_.a.row(i);
+    const double* br = s_.b.row(i);
+    std::copy(br, br + k_, rrow_.begin());
+    for (std::size_t p = 0; p < cols.size(); ++p) {
+      x_.read_row(cols[p], xrow_);
+      for (std::size_t c = 0; c < rrow_.size(); ++c) {
+        rrow_[c] -= vals[p] * xrow_[c];
+      }
     }
-    fault::canonicalize(result.fault_events);
+    double m = 0.0;
+    for (const double v : rrow_) m = std::max(m, std::abs(v));
+    return m;
   }
-  return result;
-}
 
-/// Fold the runtime kernel choice into the compile-time Blocked flag, so
-/// the faults/metrics dispatch below stays a flat 2x2 (x stream).
-template <class Faults, class Metrics, class Stream>
-SharedBatchResult dispatch_batch_kernel(
-    const CsrMatrix& a, const MultiVector& b, const MultiVector& x0,
-    const SharedOptions& opts, const partition::Partition& part,
-    const Vector& inv_diag, const fault::FaultPlan* plan,
-    const BlockedCsr* blocked) {
-  if (blocked != nullptr) {
-    return solve_shared_batch_impl<Faults, Metrics, Stream, true>(
-        a, b, x0, opts, part, inv_diag, plan, blocked);
+  /// One sampled draw: relax own row i on every lane and commit it in
+  /// place with the per-column freeze blend.
+  void relax_drawn(index_t i, index_t /*iter*/,
+                   std::span<const double> active) {
+    own_.owner.assert_held();
+    x_.writer_role().assert_held();
+    r_.writer_role().assert_held();
+    if constexpr (Blocked) {
+      relax_row_sampled_batch(*blk_, s_.a, s_.b, own_, x_, faults_, r_,
+                              active, acc_, ghost_, i);
+    } else {
+      row_residual(i, acc_.data());
+      r_.write_row(i, acc_);
+      x_.read_row(i, xrow_);
+      commit_row(i, acc_.data(), active);
+    }
   }
-  return solve_shared_batch_impl<Faults, Metrics, Stream, false>(
-      a, b, x0, opts, part, inv_diag, plan, nullptr);
-}
 
-/// Fold the telemetry-hub choice into the Stream hook axis; the null path
-/// instantiates NullStream, whose hooks compile away entirely.
-template <class Faults, class Metrics>
-SharedBatchResult dispatch_batch_stream(
-    const CsrMatrix& a, const MultiVector& b, const MultiVector& x0,
-    const SharedOptions& opts, const partition::Partition& part,
-    const Vector& inv_diag, const fault::FaultPlan* plan,
-    const BlockedCsr* blocked) {
-  if (opts.stream != nullptr) {
-    return dispatch_batch_kernel<Faults, Metrics, ActiveStream>(
-        a, b, x0, opts, part, inv_diag, plan, blocked);
+  /// Step 1: the k-lane residual of every own row, published to r.
+  void relax(index_t /*iter*/) {
+    own_.owner.assert_held();
+    r_.writer_role().assert_held();
+    if constexpr (Blocked) {
+      relax_interior_batch(*blk_, s_.a, s_.b, own_, faults_, r_, acc_);
+      relax_boundary_batch(*blk_, s_.a, s_.b, own_, x_, faults_, r_, acc_,
+                           ghost_);
+    } else {
+      for (index_t i = lo_; i < hi_; ++i) row_residual(i, local_r_.row(i - lo_));
+      for (index_t i = lo_; i < hi_; ++i) {
+        r_.write_row(i, {local_r_.row(i - lo_), acc_.size()});
+      }
+    }
   }
-  return dispatch_batch_kernel<Faults, Metrics, NullStream>(
-      a, b, x0, opts, part, inv_diag, plan, blocked);
-}
+
+  /// Step 2: masked commit — lane c moves only while active[c] != 0.0.
+  void commit(std::span<const double> active) {
+    own_.owner.assert_held();
+    x_.writer_role().assert_held();
+    if constexpr (Blocked) {
+      commit_block_batch(*blk_, own_, x_, r_, active, rrow_);
+    } else {
+      for (index_t i = lo_; i < hi_; ++i) {
+        x_.read_row(i, xrow_);
+        commit_row(i, local_r_.row(i - lo_), active);
+      }
+    }
+  }
+
+  /// Step 3: per-column 1-norms of the whole shared residual, rows
+  /// ascending (bitwise the scalar scan per column); with `own` non-empty
+  /// the own rows' terms are mirrored into the beacon accumulators.
+  void scan(std::span<double> norms, std::span<double> own) {
+    const index_t n = s_.a.num_rows();
+    std::fill(norms.begin(), norms.end(), 0.0);
+    if (own.empty()) {
+      for (index_t i = 0; i < n; ++i) {
+        r_.read_row(i, rrow_);
+#pragma omp simd
+        for (index_t c = 0; c < k_; ++c) {
+          norms[static_cast<std::size_t>(c)] +=
+              std::abs(rrow_[static_cast<std::size_t>(c)]);
+        }
+      }
+      return;
+    }
+    std::fill(own.begin(), own.end(), 0.0);
+    for (index_t i = 0; i < n; ++i) {
+      r_.read_row(i, rrow_);
+      const bool mine = i >= lo_ && i < hi_;
+#pragma omp simd
+      for (index_t c = 0; c < k_; ++c) {
+        const double v = std::abs(rrow_[static_cast<std::size_t>(c)]);
+        norms[static_cast<std::size_t>(c)] += v;
+        if (mine) own[static_cast<std::size_t>(c)] += v;
+      }
+    }
+  }
+
+ private:
+  /// The reference kernel's CSR row on every lane: k-wide row reads through
+  /// the injector, this iteration's flipped entry substituted.
+  void row_residual(index_t i, double* acc) {
+    const auto [cols, vals] = s_.a.row(i);
+    const double* br = s_.b.row(i);
+#pragma omp simd
+    for (index_t c = 0; c < k_; ++c) acc[c] = br[c];
+    FlippedEntry flipped;
+    const bool has_flip = faults_.flip(i, cols, vals, flipped);
+    for (std::size_t p = 0; p < cols.size(); ++p) {
+      const double aij = has_flip && flipped.entry == p ? flipped.value : vals[p];
+      faults_.read_row(x_, cols[p], xrow_);
+#pragma omp simd
+      for (index_t c = 0; c < k_; ++c) {
+        acc[c] -= aij * xrow_[static_cast<std::size_t>(c)];
+      }
+    }
+  }
+
+  /// Commit row i from the x row already in xrow_: the per-column freeze
+  /// blend of commit_block_batch.
+  void commit_row(index_t i, const double* d, std::span<const double> active) {
+    x_.writer_role().assert_held();
+    const double inv = s_.inv_diag[i];
+#pragma omp simd
+    for (index_t c = 0; c < k_; ++c) {
+      const auto cs = static_cast<std::size_t>(c);
+      const double nx = xrow_[cs] + inv * d[c];
+      xrow_[cs] = active[cs] != 0.0 ? nx : xrow_[cs];
+    }
+    x_.write_row(i, xrow_);
+  }
+
+  const Setup<BatchLane>& s_;
+  index_t k_;
+  index_t lo_;
+  index_t hi_;
+  SharedMultiVector& x_;
+  SharedMultiVector& r_;
+  Faults& faults_;
+  std::vector<double> acc_;
+  std::vector<double> ghost_;
+  std::vector<double> rrow_;
+  std::vector<double> xrow_;
+  MultiVector local_r_;
+  const BlockedCsr::Block* blk_ = nullptr;
+  OwnBlockBatchState own_;
+};
 
 }  // namespace
 
 SharedBatchResult solve_shared_batch(const CsrMatrix& a, const MultiVector& b,
                                      const MultiVector& x0,
                                      const SharedOptions& opts) {
-  AJAC_CHECK(a.num_rows() == a.num_cols());
-  const index_t n = a.num_rows();
-  AJAC_CHECK(b.num_rows() == n && x0.num_rows() == n);
-  AJAC_CHECK(b.num_cols() >= 1);
-  AJAC_CHECK_MSG(b.num_cols() == x0.num_cols(),
-                 "b and x0 must carry the same number of columns");
-  AJAC_CHECK(opts.num_threads >= 1);
-  AJAC_CHECK(opts.max_iterations >= 1);
-  if (!opts.delay_us.empty()) {
-    AJAC_CHECK(opts.delay_us.size() ==
-               static_cast<std::size_t>(opts.num_threads));
-  }
-  AJAC_CHECK_MSG(!opts.record_trace,
-                 "read-version traces are single-RHS only (the batch seqlock "
-                 "is per row; use solve_shared for Sec. IV trace runs)");
-  AJAC_CHECK_MSG(!opts.record_history,
-                 "per-thread residual histories are single-RHS only; batch "
-                 "runs report per-column results instead");
-  AJAC_CHECK_MSG(!opts.local_gauss_seidel,
-                 "the in-place local sweep has no batched kernel");
-  AJAC_CHECK_MSG(!(is_sampled(opts.policy) && opts.synchronous),
-                 "sampled row policies relax in place and have no "
-                 "synchronous meaning (asynchronous mode only)");
-  AJAC_CHECK_MSG(opts.weight_refresh >= 1,
-                 "weight_refresh must be a positive iteration cadence");
-  AJAC_CHECK_MSG(opts.kernel != KernelKind::kSellCS,
-                 "the bandwidth-engineered kSellCS data plane has no batched "
-                 "kernel (use kBlocked for multi-RHS runs)");
-  AJAC_CHECK_MSG(opts.ghost_precision == GhostPrecision::kFp64,
-                 "fp32 ghost publication is kSellCS-only, which the batch "
-                 "path does not support");
-
-  const partition::Partition part =
-      opts.partition.value_or(partition::contiguous_partition(
-          n, opts.num_threads));
-  AJAC_CHECK(part.num_parts() == opts.num_threads);
-  AJAC_CHECK(part.num_rows() == n);
-
-  AJAC_DBG_VALIDATE(validate::csr_structure(
-      a, {.require_sorted_rows = true, .require_diagonal = true,
-          .require_finite = true, .require_square = true}));
-  AJAC_DBG_VALIDATE(partition::validate(part, n));
-  AJAC_DBG_VALIDATE(validate::finite(b.raw(), "b"));
-  AJAC_DBG_VALIDATE(validate::finite(x0.raw(), "x0"));
-
-  Vector inv_diag = a.diagonal();
-  for (index_t i = 0; i < n; ++i) {
-    AJAC_CHECK_MSG(inv_diag[i] != 0.0, "zero diagonal at row " << i);
-    inv_diag[i] = 1.0 / inv_diag[i];
-  }
-
-  const fault::FaultPlan* plan =
-      opts.fault_plan && !opts.fault_plan->empty() ? opts.fault_plan.get()
-                                                   : nullptr;
-  if (plan != nullptr) {
-    AJAC_CHECK_MSG(!opts.synchronous,
-                   "fault injection targets the asynchronous runtime (the "
-                   "synchronous barriers serialize every fault away)");
-    plan->validate(opts.num_threads);
-  }
-
-  obs::MetricsRegistry* metrics = opts.metrics;
-  if (metrics != nullptr) {
-    metrics->set_actor_kind("thread");
-    metrics->reset(opts.num_threads,
-                   static_cast<std::size_t>(opts.max_iterations) + 64);
-  }
-
-  std::optional<BlockedCsr> blocked_a;
-  if (opts.kernel == KernelKind::kBlocked) {
-    blocked_a.emplace(a, std::span<const index_t>(part.block_starts));
-  }
-  const BlockedCsr* blocked = blocked_a ? &*blocked_a : nullptr;
-
-  if (opts.stream != nullptr) {
-    opts.stream->begin_run(opts.num_threads, "thread", opts.tolerance,
-                           obs::ResidualConvention::kUpperBoundMax,
-                           /*sim_time=*/false);
-  }
-
-  if (plan != nullptr && metrics != nullptr) {
-    return dispatch_batch_stream<ActiveBatchFaults, ActiveMetrics>(
-        a, b, x0, opts, part, inv_diag, plan, blocked);
-  }
-  if (plan != nullptr) {
-    return dispatch_batch_stream<ActiveBatchFaults, NullMetrics>(
-        a, b, x0, opts, part, inv_diag, plan, blocked);
-  }
-  if (metrics != nullptr) {
-    return dispatch_batch_stream<NullBatchFaults, ActiveMetrics>(
-        a, b, x0, opts, part, inv_diag, nullptr, blocked);
-  }
-  return dispatch_batch_stream<NullBatchFaults, NullMetrics>(
-      a, b, x0, opts, part, inv_diag, nullptr, blocked);
+  return detail::solve<BatchLane>(a, b, x0, opts);
 }
 
 }  // namespace ajac::runtime

@@ -1,14 +1,16 @@
+// Single-RHS shared-memory Jacobi: the scalar lane of the shared worker
+// (shared_worker.hpp). The worker runs the control plane; this lane keeps
+// one column in a SharedVector and owns the scalar-only features — read-
+// version traces, residual histories, the in-place Gauss-Seidel sweep, the
+// kSellCS data plane, and the fp32 ghost shadow.
+
 #include "ajac/runtime/shared_jacobi.hpp"
 
-#include <omp.h>
-#include <sched.h>
-
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <optional>
 #include <span>
 #include <utility>
+#include <vector>
 
 #include "ajac/obs/metrics.hpp"
 #include "ajac/obs/stream.hpp"
@@ -16,823 +18,369 @@
 #include "ajac/runtime/sell_kernels.hpp"
 #include "ajac/runtime/shared_vector.hpp"
 #include "ajac/sparse/blocked_csr.hpp"
-#include "ajac/sparse/sell_csr.hpp"
 #include "ajac/sparse/csr.hpp"
-#include "ajac/sparse/validate.hpp"
+#include "ajac/sparse/sell_csr.hpp"
 #include "ajac/sparse/vector_ops.hpp"
 #include "ajac/util/annotate.hpp"
 #include "ajac/util/check.hpp"
-#include "ajac/util/timer.hpp"
-#include "solve_hooks.hpp"
+#include "shared_worker.hpp"
 
 namespace ajac::runtime {
 
 namespace {
 
-// The fault/metrics hook contexts (NullFaults/ActiveFaults and
-// NullMetrics/ActiveMetrics) live in solve_hooks.hpp, shared with the
-// batched solver translation unit (shared_batch.cpp).
-using detail::ActiveFaults;
-using detail::ActiveMetrics;
-using detail::ActiveStream;
-using detail::NullFaults;
-using detail::NullMetrics;
-using detail::NullStream;
+using detail::RunRecord;
+using detail::Setup;
 
-// `sell` and `shadow` are the kSellCS data plane (both null otherwise):
-// runtime pointers rather than a third template axis — the per-iteration
-// `sell != nullptr` branch is noise next to an O(nnz) sweep, and the
-// blocked/reference instantiations stay exactly as before.
-template <class Faults, class Metrics, class Stream, bool Blocked>
-SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
-                               const Vector& x0, const SharedOptions& opts,
-                               const partition::Partition& part,
-                               const Vector& inv_diag,
-                               const fault::FaultPlan* plan,
-                               const BlockedCsr* blocked, const SellCsr* sell,
-                               SharedF32Vector* shadow) {
-  const index_t n = a.num_rows();
+/// One right-hand side in a SharedVector (see shared_worker.hpp for the
+/// lane-policy interface).
+struct ScalarLane {
+  using Dense = Vector;
+  using Shared = SharedVector;
+  using Result = SharedResult;
+  static constexpr auto kConvention = obs::ResidualConvention::kOwnBlockSum;
 
-  SharedVector x(n, opts.record_trace);
-  SharedVector r(n, /*traced=*/false);
-  // Single-threaded setup: this thread is momentarily the sole writer of
-  // both shared vectors (the workers have not been forked yet).
-  x.writer_role().assert_held();
-  r.writer_role().assert_held();
-  x.init(x0);
-  {
-    Vector r0(static_cast<std::size_t>(n));
-    a.residual(x0, b, r0);
-    r.init(r0);
-  }
-  const double r0_norm = [&] {
-    Vector tmp(static_cast<std::size_t>(n));
-    a.residual(x0, b, tmp);
-    const double nrm = vec::norm1(tmp);
-    return nrm > 0.0 ? nrm : 1.0;
-  }();
-  if constexpr (Stream::enabled) {
-    // Telemetry denominator for the monitor's global residual estimate;
-    // single-threaded setup, before any beacon of this run.
-    opts.stream->set_residual_scale(r0_norm);
+  static void check_inputs(const Vector& b, const Vector& x0, index_t n) {
+    AJAC_CHECK(b.size() == static_cast<std::size_t>(n));
+    AJAC_CHECK(x0.size() == static_cast<std::size_t>(n));
   }
 
-  std::vector<std::atomic<int>> flags(
-      static_cast<std::size_t>(opts.num_threads));
-  // racy-ok(init): single-threaded setup; the OpenMP fork publishes it.
-  for (auto& f : flags) f.store(0, std::memory_order_relaxed);
-  std::vector<std::atomic<index_t>> iter_counts(
-      static_cast<std::size_t>(opts.num_threads));
-  // racy-ok(init): single-threaded setup; the OpenMP fork publishes it.
-  for (auto& c : iter_counts) c.store(0, std::memory_order_relaxed);
-  std::atomic<int> stop{0};
+  static void check_options(const SharedOptions& opts) {
+    AJAC_CHECK_MSG(!(opts.local_gauss_seidel && opts.synchronous),
+                   "the in-place local sweep is only meaningful without "
+                   "barriers (asynchronous mode)");
+    AJAC_CHECK_MSG(!(opts.local_gauss_seidel && opts.record_trace),
+                   "read-version traces assume the Jacobi local sweep");
+    AJAC_CHECK_MSG(!(is_sampled(opts.policy) && opts.local_gauss_seidel),
+                   "sampled row policies define their own in-place schedule; "
+                   "local_gauss_seidel does not compose with them");
+    const bool sellcs = opts.kernel == KernelKind::kSellCS;
+    AJAC_CHECK_MSG(!(sellcs && opts.record_trace),
+                   "kSellCS amortizes ghost reads into per-iteration buffer "
+                   "refreshes; per-read version traces need kBlocked or "
+                   "kReference");
+    AJAC_CHECK_MSG(!(sellcs && opts.local_gauss_seidel),
+                   "the in-place local sweep reads its own fresh updates "
+                   "row-by-row; the SELL repack relaxes rows out of order "
+                   "(use kBlocked)");
+    AJAC_CHECK_MSG(!(sellcs && is_sampled(opts.policy)),
+                   "sampled row policies relax drawn rows in place; the SELL "
+                   "interior relaxes whole chunks (use kBlocked)");
+    AJAC_CHECK_MSG(
+        !(opts.ghost_precision == GhostPrecision::kFp32 && !sellcs),
+        "fp32 ghost publication is part of the kSellCS data plane; the "
+        "blocked and reference kernels read the fp64 vector per entry");
+  }
 
-  SharedResult result;
-  result.iterations_per_thread.assign(
-      static_cast<std::size_t>(opts.num_threads), 0);
-  std::vector<std::vector<SharedHistoryPoint>> histories(
-      static_cast<std::size_t>(opts.num_threads));
-  std::vector<std::vector<model::RelaxationEvent>> thread_events(
-      static_cast<std::size_t>(opts.num_threads));
-  std::vector<fault::FaultLog> fault_logs(
-      static_cast<std::size_t>(opts.num_threads));
+  static index_t width(const Vector& /*b*/) { return 1; }
+  static std::span<const double> values(const Vector& v) { return v; }
+  static SharedVector make_shared(index_t n, index_t /*k*/, bool traced) {
+    return SharedVector(n, traced);
+  }
+  static Vector make_dense(index_t n, index_t /*k*/) {
+    return Vector(static_cast<std::size_t>(n));
+  }
+  static Vector snapshot(const SharedVector& x) {
+    Vector out(x.size());
+    x.snapshot(out);
+    return out;
+  }
 
-  WallTimer timer;
+  static void residual(const CsrMatrix& a, const Vector& x, const Vector& b,
+                       Vector& r, std::span<double> norms) {
+    a.residual(x, b, r);
+    norms[0] = vec::norm1(r);
+  }
 
-  // OpenMP fork/join synchronization happens inside libgomp (futexes TSan
-  // cannot see); hand TSan the happens-before edges explicitly. Everything
-  // crossing threads *inside* the region is std::atomic and needs nothing.
-  AJAC_TSAN_RELEASE(&result);
-
-#pragma omp parallel num_threads(static_cast<int>(opts.num_threads))
-  {
-    AJAC_TSAN_ACQUIRE(&result);
-    const auto t = static_cast<index_t>(omp_get_thread_num());
-    const index_t lo = part.part_begin(t);
-    const index_t hi = part.part_end(t);
-    const double delay =
-        opts.delay_us.empty() ? 0.0 : opts.delay_us[static_cast<std::size_t>(t)];
-    // Relax->commit carrier for the reference kernels. The blocked kernels
-    // need no private carrier: each thread is the sole writer of its own
-    // rows of the shared r, so the residual published during step 1 reads
-    // back bit-exact in commit_block.
-    std::vector<double> local_r(
-        Blocked ? std::size_t{0} : static_cast<std::size_t>(hi - lo));
-    auto& my_history = histories[static_cast<std::size_t>(t)];
-    auto& my_events = thread_events[static_cast<std::size_t>(t)];
-    if (opts.record_history) {
-      // Reserve outside the timed loop: a reallocating push_back inside the
-      // relaxation loop would stall this thread mid-run and perturb the
-      // asynchronous interleaving being measured. Threads park once they
-      // reach max_iterations, so the local iteration count (and therefore
-      // the history) is bounded by it exactly.
-      my_history.reserve(static_cast<std::size_t>(opts.max_iterations));
-    }
-    Faults faults(a, x0, plan, t, lo, hi, x);
-    Metrics metrics(opts.metrics, t, timer);
-    Stream stream(opts.stream, t, timer);
-
-    // Sampled row policies: per-thread sampler (no shared state; see
-    // row_policy.hpp for the draw-coordinate discipline) and, when
-    // instrumented, the per-row draw counts behind the row-selection-skew
-    // metric. Natural order pays for neither.
-    const bool sampled = is_sampled(opts.policy);
-    std::optional<RowSampler> sampler;
-    // Scratch for the weighted refresh: |true residual| of each own row,
-    // computed in a first pass so the weight of row i can sum its whole
-    // stencil (see the refresh below). Sized once, outside the timed loop.
-    std::vector<double> snapshot_r;
-    if (sampled) {
-      sampler.emplace(opts.policy, opts.policy_seed, t, lo, hi,
-                      opts.weight_refresh);
-      if (opts.policy == RowPolicy::kResidualWeighted) {
-        snapshot_r.assign(static_cast<std::size_t>(hi - lo), 0.0);
+  static double fresh_residual(const CsrMatrix& a, const Vector& b,
+                               const SharedVector& x, index_t /*c*/) {
+    double fresh = 0.0;
+    for (index_t i = 0; i < a.num_rows(); ++i) {
+      double acc = b[i];
+      const auto [cols, vals] = a.row(i);
+      for (std::size_t p = 0; p < cols.size(); ++p) {
+        acc -= vals[p] * x.read(cols[p]);
       }
+      fresh += std::abs(acc);
     }
-    [[maybe_unused]] std::vector<std::uint32_t> pick_counts;
-    if constexpr (Metrics::enabled) {
-      if (sampled) pick_counts.assign(static_cast<std::size_t>(hi - lo), 0);
+    return fresh;
+  }
+
+  template <class F>
+  static void with_column(Vector& x, Vector& r, const Vector& b,
+                          index_t /*c*/, F&& f) {
+    f(std::span<double>(x), std::span<double>(r), std::span<const double>(b));
+  }
+
+  /// kOwnBlockSum: the beacon carries the raw own-block 1-norm and the hub
+  /// divides by the run's r0 norm.
+  static double beacon(std::span<const double> own,
+                       std::span<const double> /*r0_norm*/) {
+    return own[0];
+  }
+  static double beacon_scale(std::span<const double> r0_norm) {
+    return r0_norm[0];
+  }
+
+  template <class Metrics>
+  static void count_lanes(Metrics& /*metrics*/, index_t /*rows*/,
+                          index_t /*active_cols*/) {}
+
+  static SharedResult make_result(RunRecord<Vector>&& run,
+                                  const Setup<ScalarLane>& s) {
+    SharedResult result;
+    result.x = std::move(run.x);
+    result.seconds = run.seconds;
+    result.converged = run.converged[0];
+    result.final_rel_residual_1 = run.final_rel_residual_1[0];
+    result.polish_sweeps = run.polish_sweeps[0];
+    result.iterations_per_thread = std::move(run.iterations_per_thread);
+    for (index_t t = 0; t < s.opts.num_threads; ++t) {
+      result.total_relaxations +=
+          result.iterations_per_thread[static_cast<std::size_t>(t)] *
+          s.part.part_size(t);
     }
+    for (auto& h : run.histories) {
+      result.history.insert(result.history.end(), h.begin(), h.end());
+    }
+    std::sort(result.history.begin(), result.history.end(),
+              [](const SharedHistoryPoint& p1, const SharedHistoryPoint& p2) {
+                return p1.seconds < p2.seconds;
+              });
+    if (s.opts.record_trace) {
+      model::RelaxationTrace trace(s.a.num_rows());
+      // Per-row order is preserved because each row belongs to one thread
+      // and threads append their events in execution order.
+      for (const auto& events : run.events) {
+        for (const auto& e : events) trace.add_event(e);
+      }
+      result.trace = std::move(trace);
+    }
+    result.fault_events = std::move(run.fault_events);
+    return result;
+  }
 
-    // Blocked path: thread-private mirror of the own rows, allocated and
-    // filled here so the owning thread first-touches its own pages.
-    [[maybe_unused]] const BlockedCsr::Block* blk = nullptr;
-    [[maybe_unused]] OwnBlockState own;
-    // kSellCS path: SELL interior view plus the dense ghost buffer,
-    // likewise allocated here for first touch.
-    [[maybe_unused]] const SellCsr::Block* sblk = nullptr;
-    std::vector<double> ghosts;
+  template <class Faults, class Metrics, bool Blocked>
+  class Worker;
+};
 
-    // The partition makes this thread the sole writer of rows [lo, hi) of
-    // x and r, and of its private mirror: claim the roles every protocol
-    // write and kernel call below requires. Claims, not locks — ownership
-    // is established by the partition, so there is nothing to acquire.
-    x.writer_role().assert_held();
-    r.writer_role().assert_held();
-    own.owner.assert_held();
-
+/// Per-thread data plane of the scalar lane. The partition makes this
+/// thread the sole writer of rows [lo, hi) of x and r and of its private
+/// mirror: every method claims the roles its kernel calls require (claims,
+/// not locks — ownership is established by the partition).
+template <class Faults, class Metrics, bool Blocked>
+class ScalarLane::Worker {
+ public:
+  Worker(const Setup<ScalarLane>& s, index_t t, SharedVector& x,
+         SharedVector& r, Faults& faults, Metrics& metrics,
+         std::vector<model::RelaxationEvent>& events)
+      : s_(s), lo_(s.part.part_begin(t)), hi_(s.part.part_end(t)), x_(x),
+        r_(r), faults_(faults), metrics_(metrics), events_(events) {
     if constexpr (Blocked) {
-      blk = &blocked->block(t);
-      refresh_own_block(*blk, x, own);
-      if (sell != nullptr) {
-        sblk = &sell->block(t);
-        ghosts.assign(blk->ghost_cols.size(), 0.0);
+      // Thread-private mirror of the own rows; kSellCS adds the SELL
+      // interior view and the dense ghost buffer.
+      blk_ = &s.blocked->block(t);
+      refresh_own();
+      if (s.sell != nullptr) {
+        sblk_ = &s.sell->block(t);
+        ghosts_.assign(blk_->ghost_cols.size(), 0.0);
       }
+    } else {
+      // Relax->commit carrier for the reference kernels. The blocked
+      // kernels need none: each thread is the sole writer of its own rows
+      // of the shared r, so the residual published during step 1 reads
+      // back bit-exact in commit_block.
+      local_r_.assign(static_cast<std::size_t>(hi_ - lo_), 0.0);
     }
+  }
 
-    // Verification gate: the flag array is based on racy reads of the
-    // shared residual, which can be arbitrarily stale when threads are
-    // oversubscribed on few cores. Before actually stopping, recompute a
-    // fresh global residual from the current shared x (or check the true
-    // iteration counters); only a verified check may raise `stop`.
-    auto verify_and_maybe_stop = [&]() {
-      bool all_at_max = true;
-      for (auto& c : iter_counts) {
-        // racy-ok(monotonic): counters only grow; a stale read can only
-        // delay the stop decision, never produce a premature one.
-        if (c.load(std::memory_order_relaxed) < opts.max_iterations) {
-          all_at_max = false;
-          break;
-        }
-      }
-      bool tol_met = false;
-      if (!all_at_max && opts.tolerance > 0.0) {
-        double fresh = 0.0;
-        for (index_t i = 0; i < n; ++i) {
-          double acc = b[i];
-          const auto [cols, vals] = a.row(i);
-          for (std::size_t p = 0; p < cols.size(); ++p) {
-            acc -= vals[p] * x.read(cols[p]);
-          }
-          fresh += std::abs(acc);
-        }
-        tol_met = fresh / r0_norm <= opts.tolerance;
-      }
-      if (all_at_max || tol_met) {
-        // racy-ok(stop): 0 -> 1 broadcast; readers poll it and there is no
-        // dependent data to publish (results are read after the join).
-        stop.store(1, std::memory_order_relaxed);
-        if constexpr (Metrics::enabled) metrics.stop_decided();
-      }
-    };
+  /// (Re)load the own-block mirror from the shared x (blocked kernels).
+  void refresh_own() {
+    own_.owner.assert_held();
+    if constexpr (Blocked) refresh_own_block(*blk_, x_, own_);
+  }
 
-    index_t iter = 0;
-    [[maybe_unused]] double last_own_norm = 0.0;
-    // racy-ok(stop): stop only transitions 0 -> 1; a stale read costs one
-    // extra polling pass, nothing more.
-    while (stop.load(std::memory_order_relaxed) == 0) {
-      if (iter >= opts.max_iterations) {
-        // Parked at the iteration cap. Relaxing further would make the
-        // executed (thread, iteration) set — and with it the fault log and
-        // relaxation totals — depend on how long the slower threads take
-        // to flag, i.e. on scheduler timing. This thread's own flag went
-        // up when iter reached the cap, so just keep polling the others
-        // and re-verifying until the stop is decided.
-        int parked_done = 0;
-        // racy-ok(flag): flags are hints; verify_and_maybe_stop re-checks.
-        for (auto& f : flags) parked_done += f.load(std::memory_order_relaxed);
-        if (parked_done == static_cast<int>(opts.num_threads)) {
-          verify_and_maybe_stop();
-        }
-        sched_yield();
-        continue;
-      }
-      if constexpr (Metrics::enabled) metrics.iteration_begin();
-      if (delay > 0.0) {
-        spin_wait_us(delay);
-        if constexpr (Metrics::enabled) metrics.spin_wait(delay);
-      }
-      if constexpr (Faults::enabled) faults.begin_iteration(iter);
-      if constexpr (Faults::enabled && Blocked) {
-        // A crash recovery with state reset rewrote the shared x on the own
-        // rows behind the mirror; reload it (versions included) before any
-        // kernel reads through it.
-        if (faults.consume_state_reset()) refresh_own_block(*blk, x, own);
-      }
-      if constexpr (Metrics::enabled) metrics.sync_faults(faults);
+  /// |true residual| of own row i from an x snapshot, bypassing faults.
+  double true_residual(index_t i) const {
+    const auto [cols, vals] = s_.a.row(i);
+    double acc = s_.b[i];
+    for (std::size_t p = 0; p < cols.size(); ++p) {
+      acc -= vals[p] * x_.read_snapshot(cols[p]);
+    }
+    return std::abs(acc);
+  }
 
-      // Step 1: residual on own rows from the shared (racy) x.
-      if (sampled) {
-        // Sampled policies: block-size in-place relaxations of drawn rows
-        // (iteration counting, termination, and total_relaxations keep
-        // their natural-order meaning). The weighted sampler rebuilds its
-        // prefix sum here, at the iteration boundary, in two passes: the
-        // TRUE residual of every own row recomputed from an x snapshot
-        // (never the published r, whose pre-update values go stale under
-        // in-place draws), then the stencil-smoothed weight (|A| |r|)_i
-        // over the own block — see row_policy.hpp for why both the
-        // recompute and the smoothing are load-bearing. Weights read x
-        // directly, bypassing fault injection: the policy stream must not
-        // consume fault decisions.
-        if (sampler->refresh_due(iter)) {
-          for (index_t i = lo; i < hi; ++i) {
-            const auto [cols, vals] = a.row(i);
-            double acc = b[i];
-            for (std::size_t p = 0; p < cols.size(); ++p) {
-              acc -= vals[p] * x.read_snapshot(cols[p]);
-            }
-            snapshot_r[static_cast<std::size_t>(i - lo)] = std::abs(acc);
-          }
-          sampler->refresh_weights([&](index_t i) {
-            const auto [cols, vals] = a.row(i);
-            double w = 0.0;
-            for (std::size_t p = 0; p < cols.size(); ++p) {
-              const index_t j = cols[p];
-              if (j >= lo && j < hi) {
-                w += std::abs(vals[p]) *
-                     snapshot_r[static_cast<std::size_t>(j - lo)];
-              }
-            }
-            return w;
-          });
-          if constexpr (Metrics::enabled) metrics.weight_refresh();
-          if constexpr (Stream::enabled) stream.weight_refresh();
-        }
-        const index_t draws = hi - lo;
-        for (index_t slot = 0; slot < draws; ++slot) {
-          const index_t i = sampler->next(iter, slot);
-          if constexpr (Metrics::enabled) {
-            ++pick_counts[static_cast<std::size_t>(i - lo)];
-          }
-          if constexpr (Blocked) {
-            if (opts.record_trace) {
-              relax_row_sampled_traced(*blk, a, b, own, x, faults, metrics,
-                                       iter, r, my_events, i);
-            } else {
-              relax_row_sampled(*blk, a, b, own, x, r, faults, i);
-            }
-          } else if (opts.record_trace) {
-            model::RelaxationEvent event;
-            event.row = i;
-            double acc = b[i];
-            const auto [cols, vals] = a.row(i);
-            FlippedEntry flipped;
-            bool has_flip = false;
-            if constexpr (Faults::enabled) {
-              has_flip = faults.flip(i, cols, vals, flipped);
-            }
-            event.reads.reserve(cols.size());
-            for (std::size_t p = 0; p < cols.size(); ++p) {
-              const index_t j = cols[p];
-              double aij = vals[p];
-              if constexpr (Faults::enabled) {
-                if (has_flip && flipped.entry == p) aij = flipped.value;
-              }
-              if (j == i) {
-                acc -= aij *
-                       faults.read_versioned(x, j, metrics.retry_sink()).first;
-                continue;
-              }
-              const auto [value, version] =
-                  faults.read_versioned(x, j, metrics.retry_sink());
-              acc -= aij * value;
-              if constexpr (Metrics::enabled) metrics.staleness(iter, version);
-              event.reads.push_back({j, version});
-            }
-            r.write(i, acc);
-            x.write(i, x.read(i) + inv_diag[i] * acc);
-            my_events.push_back(std::move(event));
-          } else {
-            double acc = b[i];
-            const auto [cols, vals] = a.row(i);
-            FlippedEntry flipped;
-            bool has_flip = false;
-            if constexpr (Faults::enabled) {
-              has_flip = faults.flip(i, cols, vals, flipped);
-            }
-            for (std::size_t p = 0; p < cols.size(); ++p) {
-              double aij = vals[p];
-              if constexpr (Faults::enabled) {
-                if (has_flip && flipped.entry == p) aij = flipped.value;
-              }
-              acc -= aij * faults.read(x, cols[p]);
-            }
-            r.write(i, acc);
-            x.write(i, x.read(i) + inv_diag[i] * acc);
-          }
-        }
-      } else if (opts.local_gauss_seidel) {
-        // In-place forward sweep: each row's update is visible to the
-        // following rows (and to other threads) immediately.
-        if constexpr (Blocked) {
-          relax_block_gs(*blk, a, b, own, x, r, faults);
-        } else {
-          for (index_t i = lo; i < hi; ++i) {
-            double acc = b[i];
-            const auto [cols, vals] = a.row(i);
-            FlippedEntry flipped;
-            bool has_flip = false;
-            if constexpr (Faults::enabled) {
-              has_flip = faults.flip(i, cols, vals, flipped);
-            }
-            for (std::size_t pp = 0; pp < cols.size(); ++pp) {
-              double aij = vals[pp];
-              if constexpr (Faults::enabled) {
-                if (has_flip && flipped.entry == pp) aij = flipped.value;
-              }
-              acc -= aij * faults.read(x, cols[pp]);
-            }
-            local_r[i - lo] = acc;
-            r.write(i, acc);
-            x.write(i, x.read(i) + inv_diag[i] * acc);
-          }
-        }
+  /// One sampled draw: relax own row i and commit it in place.
+  void relax_drawn(index_t i, index_t iter,
+                   std::span<const double> /*active*/) {
+    own_.owner.assert_held();
+    x_.writer_role().assert_held();
+    r_.writer_role().assert_held();
+    if constexpr (Blocked) {
+      if (s_.opts.record_trace) {
+        relax_row_sampled_traced(*blk_, s_.a, s_.b, own_, x_, faults_,
+                                 metrics_, iter, r_, events_, i);
+      } else {
+        relax_row_sampled(*blk_, s_.a, s_.b, own_, x_, r_, faults_, i);
+      }
+    } else {
+      relax_in_place(i, iter);
+    }
+  }
+
+  /// Step 1: the residual of every own row (published to r), or the whole
+  /// in-place Gauss-Seidel sweep.
+  void relax(index_t iter) {
+    own_.owner.assert_held();
+    x_.writer_role().assert_held();
+    r_.writer_role().assert_held();
+    const SharedOptions& opts = s_.opts;
+    if constexpr (Blocked) {
+      if (opts.local_gauss_seidel) {
+        relax_block_gs(*blk_, s_.a, s_.b, own_, x_, r_, faults_);
       } else if (opts.record_trace) {
-        if constexpr (Blocked) {
-          relax_traced(*blk, a, b, own, x, faults, metrics, iter, r,
-                       my_events);
+        relax_traced(*blk_, s_.a, s_.b, own_, x_, faults_, metrics_, iter, r_,
+                     events_);
+      } else if (sblk_ != nullptr) {
+        // kSellCS: refresh the dense ghost buffer once (from the fp32
+        // shadow when one exists, else the authoritative fp64 vector), then
+        // relax the SELL-packed interior and the buffered boundary.
+        if (s_.shadow != nullptr) {
+          refresh_ghosts_f32(*blk_, *s_.shadow, ghosts_);
         } else {
-          for (index_t i = lo; i < hi; ++i) {
-            model::RelaxationEvent event;
-            event.row = i;
-            double acc = b[i];
-            const auto [cols, vals] = a.row(i);
-            FlippedEntry flipped;
-            bool has_flip = false;
-            if constexpr (Faults::enabled) {
-              has_flip = faults.flip(i, cols, vals, flipped);
-            }
-            event.reads.reserve(cols.size());
-            for (std::size_t p = 0; p < cols.size(); ++p) {
-              const index_t j = cols[p];
-              double aij = vals[p];
-              if constexpr (Faults::enabled) {
-                if (has_flip && flipped.entry == p) aij = flipped.value;
-              }
-              if (j == i) {
-                acc -= aij *
-                       faults.read_versioned(x, j, metrics.retry_sink()).first;
-                continue;
-              }
-              const auto [value, version] =
-                  faults.read_versioned(x, j, metrics.retry_sink());
-              acc -= aij * value;
-              if constexpr (Metrics::enabled) metrics.staleness(iter, version);
-              event.reads.push_back({j, version});
-            }
-            local_r[i - lo] = acc;
-            my_events.push_back(std::move(event));
-          }
+          refresh_ghosts(*blk_, x_, ghosts_);
         }
+        if constexpr (Metrics::enabled) metrics_.ghost_refresh();
+        relax_interior_sell(*sblk_, s_.b, own_, r_);
+        relax_boundary_buffered(*blk_, s_.b, own_, ghosts_, r_);
       } else {
-        if constexpr (Blocked) {
-          if (sell != nullptr) {
-            // kSellCS: refresh the dense ghost buffer once (from the fp32
-            // shadow when one exists, else the authoritative fp64 vector),
-            // then relax the SELL-packed interior and the buffered
-            // boundary. Faults/trace/GS/sampling never reach this branch
-            // (rejected in solve_shared).
-            if (shadow != nullptr) {
-              refresh_ghosts_f32(*blk, *shadow, ghosts);
-            } else {
-              refresh_ghosts(*blk, x, ghosts);
-            }
-            if constexpr (Metrics::enabled) metrics.ghost_refresh();
-            relax_interior_sell(*sblk, b, own, r);
-            relax_boundary_buffered(*blk, b, own, ghosts, r);
-          } else {
-            relax_interior(*blk, a, b, own, faults, r);
-            relax_boundary(*blk, a, b, own, x, faults, r);
-          }
-        } else {
-          for (index_t i = lo; i < hi; ++i) {
-            double acc = b[i];
-            const auto [cols, vals] = a.row(i);
-            FlippedEntry flipped;
-            bool has_flip = false;
-            if constexpr (Faults::enabled) {
-              has_flip = faults.flip(i, cols, vals, flipped);
-            }
-            for (std::size_t p = 0; p < cols.size(); ++p) {
-              double aij = vals[p];
-              if constexpr (Faults::enabled) {
-                if (has_flip && flipped.entry == p) aij = flipped.value;
-              }
-              acc -= aij * faults.read(x, cols[p]);
-            }
-            local_r[i - lo] = acc;
-          }
-        }
+        relax_interior(*blk_, s_.a, s_.b, own_, faults_, r_);
+        relax_boundary(*blk_, s_.a, s_.b, own_, x_, faults_, r_);
       }
-      if constexpr (Metrics::enabled && Blocked) {
-        metrics.read_mix(blk->local_nnz, blk->ghost_nnz);
-      }
-      if constexpr (!Blocked) {
-        // The blocked kernels publish each row's residual to r as part of
-        // step 1 (the GS sweep and the sampled policies write it in-place
-        // on both paths); only the reference Jacobi step needs this
-        // separate pass.
-        if (!opts.local_gauss_seidel && !sampled) {
-          for (index_t i = lo; i < hi; ++i) r.write(i, local_r[i - lo]);
-        }
-      }
-
-      if (opts.synchronous) {
-#pragma omp barrier
-      }
-
-      // Step 2: correct own rows (already done in-place for the GS sweep
-      // and the sampled policies).
-      if (!opts.local_gauss_seidel && !sampled) {
-        if constexpr (Blocked) {
-          commit_block(*blk, own, x, r);
-          if (shadow != nullptr) {
-            // fp32 ghost runs: republish the freshly committed own rows to
-            // the float shadow neighbours refresh from. The partition makes
-            // this thread the shadow's sole writer on these rows.
-            shadow->writer_role().assert_held();
-            publish_shadow(*blk, own, *shadow);
-          }
-        } else {
-          for (index_t i = lo; i < hi; ++i) {
-            x.write(i, x.read(i) + inv_diag[i] * local_r[i - lo]);
-          }
-        }
-      }
-      ++iter;
-      // racy-ok(monotonic): published for the verification gate; it only
-      // needs an eventually-fresh lower bound.
-      iter_counts[static_cast<std::size_t>(t)].store(
-          iter, std::memory_order_relaxed);
-
-      // Step 3: convergence check — norm of the whole shared residual
-      // (racy reads, the paper's scheme).
-      if constexpr (Metrics::enabled) metrics.residual_check_begin();
-      double norm = 0.0;
-      if constexpr (Stream::enabled) {
-        // Same scan with the own-block terms mirrored into a second
-        // accumulator for the beacon: every term still lands in `norm` in
-        // the original row order, so the streamed run's residual check is
-        // bitwise the unstreamed one's.
-        double own_sum = 0.0;
-        for (index_t i = 0; i < lo; ++i) norm += std::abs(r.read(i));
-        for (index_t i = lo; i < hi; ++i) {
-          const double v = std::abs(r.read(i));
-          norm += v;
-          own_sum += v;
-        }
-        for (index_t i = hi; i < n; ++i) norm += std::abs(r.read(i));
-        last_own_norm = own_sum;
-      } else {
-        for (index_t i = 0; i < n; ++i) norm += std::abs(r.read(i));
-      }
-      const double rel = norm / r0_norm;
-      if constexpr (Metrics::enabled) metrics.residual_check_end();
-      if (opts.record_history) {
-        // `rel` sums racy relaxed reads of r that interleave with other
-        // threads' writes: this point records the residual *as this thread
-        // saw it*, not a consistent global norm. The serial post-run check
-        // (final_rel_residual_1) is the trustworthy value.
-        my_history.push_back({timer.seconds(), t, iter, rel});
-      }
-      const bool my_done =
-          (opts.tolerance > 0.0 && rel <= opts.tolerance) ||
-          iter >= opts.max_iterations;
-      // racy-ok(flag): the paper's termination flags rest on racy residual
-      // reads by design; the verification gate re-checks before stopping.
-      flags[static_cast<std::size_t>(t)].store(my_done ? 1 : 0,
-                                               std::memory_order_relaxed);
-      if constexpr (Metrics::enabled) metrics.flag_update(my_done, iter);
-
-      if (opts.synchronous) {
-#pragma omp barrier
-      }
-      int done_count = 0;
-      // racy-ok(flag): hint scan; a stale flag only defers verification.
-      for (auto& f : flags) done_count += f.load(std::memory_order_relaxed);
-      if (done_count == static_cast<int>(opts.num_threads)) {
-        verify_and_maybe_stop();
-      }
-      if (opts.synchronous) {
-        // Keep lockstep: every thread must pass the same number of
-        // barriers, and all see the verified stop decision together.
-#pragma omp barrier
-      }
-      if constexpr (Metrics::enabled) metrics.iteration_end(iter - 1, hi - lo);
-      if constexpr (Stream::enabled) {
-        if (stream.due(iter)) {
-          stream.publish(iter, hi - lo, last_own_norm,
-                         sampled ? static_cast<std::uint64_t>(iter) *
-                                       static_cast<std::uint64_t>(hi - lo)
-                                 : 0);
-        }
-      }
-      // racy-ok(stop): monotonic 0 -> 1, polled.
-      if (opts.yield &&
-          stop.load(std::memory_order_relaxed) == 0) {
-        sched_yield();
-      }
-    }
-    if constexpr (Stream::enabled) {
-      // Terminal beacon: the monitor always sees this thread's final state
-      // even when the last iteration missed the stride.
-      stream.finish(iter, hi - lo, last_own_norm,
-                    sampled ? static_cast<std::uint64_t>(iter) *
-                                  static_cast<std::uint64_t>(hi - lo)
-                            : 0);
-    }
-    result.iterations_per_thread[static_cast<std::size_t>(t)] = iter;
-    if constexpr (Metrics::enabled) {
-      if (sampled) metrics.policy_counts(pick_counts);
-    }
-    if constexpr (Faults::enabled) {
-      fault_logs[static_cast<std::size_t>(t)] = faults.take_log();
-    }
-    AJAC_TSAN_RELEASE(&result);
-  }
-  AJAC_TSAN_ACQUIRE(&result);
-
-  result.seconds = timer.seconds();
-  result.x.resize(static_cast<std::size_t>(n));
-  x.snapshot(result.x);
-
-  // Independent serial verification of the final residual.
-  Vector final_r(static_cast<std::size_t>(n));
-  a.residual(result.x, b, final_r);
-  result.final_rel_residual_1 = vec::norm1(final_r) / r0_norm;
-
-  // A thread descheduled mid-iteration may have committed a stale update
-  // after the verified stop; polish sequentially until the tolerance
-  // verifiably holds (bounded — the state is near the fixed point).
-  if (opts.final_polish && opts.tolerance > 0.0 &&
-      result.final_rel_residual_1 > opts.tolerance) {
-    [[maybe_unused]] double polish_t0_us = 0.0;
-    if constexpr (Metrics::enabled) polish_t0_us = timer.seconds() * 1e6;
-    const index_t polish_cap = 20 * opts.num_threads + 200;
-    while (result.polish_sweeps < polish_cap &&
-           result.final_rel_residual_1 > opts.tolerance) {
-      for (index_t i = 0; i < n; ++i) {
-        result.x[i] += inv_diag[i] * final_r[i];
-      }
-      a.residual(result.x, b, final_r);
-      result.final_rel_residual_1 = vec::norm1(final_r) / r0_norm;
-      ++result.polish_sweeps;
-    }
-    if constexpr (Metrics::enabled) {
-      obs::ActorSlot& slot0 = opts.metrics->actor(0);
-      // Post-join epilogue: the workers are gone, this thread owns slot 0.
-      slot0.owner.assert_held();
-      slot0.add(obs::Counter::kPolishSweeps,
-                static_cast<std::uint64_t>(result.polish_sweeps));
-      slot0.span(obs::TraceKind::kPolish, polish_t0_us,
-                 timer.seconds() * 1e6, result.polish_sweeps);
+    } else if (opts.local_gauss_seidel) {
+      // In-place forward sweep: each row's update is visible to the
+      // following rows (and to other threads) immediately.
+      for (index_t i = lo_; i < hi_; ++i) relax_in_place(i, iter);
+    } else {
+      for (index_t i = lo_; i < hi_; ++i) local_r_[ri(i)] = row_residual(i, iter);
+      for (index_t i = lo_; i < hi_; ++i) r_.write(i, local_r_[ri(i)]);
     }
   }
-  if constexpr (Metrics::enabled) {
-    // The whole solve (parallel phase + serial verification + polish) as
-    // one span on actor 0's lane. Post-join: this thread owns the slot.
-    obs::ActorSlot& slot0 = opts.metrics->actor(0);
-    slot0.owner.assert_held();
-    slot0.span(obs::TraceKind::kSolve, 0.0, timer.seconds() * 1e6);
-  }
-  result.converged =
-      opts.tolerance > 0.0 && result.final_rel_residual_1 <= opts.tolerance;
-  for (index_t t = 0; t < opts.num_threads; ++t) {
-    result.total_relaxations +=
-        result.iterations_per_thread[static_cast<std::size_t>(t)] *
-        part.part_size(t);
-  }
 
-  for (auto& h : histories) {
-    result.history.insert(result.history.end(), h.begin(), h.end());
-  }
-  std::sort(result.history.begin(), result.history.end(),
-            [](const SharedHistoryPoint& p1, const SharedHistoryPoint& p2) {
-              return p1.seconds < p2.seconds;
-            });
-
-  if (opts.record_trace) {
-    model::RelaxationTrace trace(n);
-    // Per-row order is preserved because each row belongs to one thread
-    // and threads append their events in execution order.
-    for (const auto& events : thread_events) {
-      for (const auto& e : events) trace.add_event(e);
+  /// Step 2: commit `x + inv_diag * r` on the own rows (the GS sweep
+  /// already committed in place). The mask is not consulted: the scalar
+  /// column's verified stop is the global stop.
+  void commit(std::span<const double> /*active*/) {
+    if (s_.opts.local_gauss_seidel) return;
+    own_.owner.assert_held();
+    x_.writer_role().assert_held();
+    if constexpr (Blocked) {
+      commit_block(*blk_, own_, x_, r_);
+      if (s_.shadow != nullptr) {
+        // fp32 ghost runs: republish the freshly committed own rows to the
+        // float shadow neighbours refresh from. The partition makes this
+        // thread the shadow's sole writer on these rows.
+        s_.shadow->writer_role().assert_held();
+        publish_shadow(*blk_, own_, *s_.shadow);
+      }
+    } else {
+      for (index_t i = lo_; i < hi_; ++i) {
+        x_.write(i, x_.read(i) + s_.inv_diag[i] * local_r_[ri(i)]);
+      }
     }
-    result.trace = std::move(trace);
   }
-  if constexpr (Faults::enabled) {
-    for (auto& log : fault_logs) {
-      result.fault_events.insert(result.fault_events.end(), log.begin(),
-                                 log.end());
+
+  /// Step 3: 1-norm of the whole shared residual (racy reads). With `own`
+  /// non-empty (streamed runs) the own-block terms are mirrored into a
+  /// second accumulator for the beacon: every term still lands in the norm
+  /// in the original row order, so the streamed check is bitwise the
+  /// unstreamed one.
+  void scan(std::span<double> norms, std::span<double> own) const {
+    const index_t n = s_.a.num_rows();
+    double norm = 0.0;
+    if (own.empty()) {
+      for (index_t i = 0; i < n; ++i) norm += std::abs(r_.read(i));
+    } else {
+      double own_sum = 0.0;
+      for (index_t i = 0; i < lo_; ++i) norm += std::abs(r_.read(i));
+      for (index_t i = lo_; i < hi_; ++i) {
+        const double v = std::abs(r_.read(i));
+        norm += v;
+        own_sum += v;
+      }
+      for (index_t i = hi_; i < n; ++i) norm += std::abs(r_.read(i));
+      own[0] = own_sum;
     }
-    fault::canonicalize(result.fault_events);
+    norms[0] = norm;
   }
-  return result;
-}
 
-/// Fold the runtime kernel choice into the compile-time Blocked flag, so
-/// the faults/metrics dispatch below stays a flat 2x2 (x stream).
-template <class Faults, class Metrics, class Stream>
-SharedResult dispatch_kernel(const CsrMatrix& a, const Vector& b,
-                             const Vector& x0, const SharedOptions& opts,
-                             const partition::Partition& part,
-                             const Vector& inv_diag,
-                             const fault::FaultPlan* plan,
-                             const BlockedCsr* blocked, const SellCsr* sell,
-                             SharedF32Vector* shadow) {
-  if (blocked != nullptr) {
-    return solve_shared_impl<Faults, Metrics, Stream, true>(
-        a, b, x0, opts, part, inv_diag, plan, blocked, sell, shadow);
+ private:
+  [[nodiscard]] std::size_t ri(index_t i) const {
+    return static_cast<std::size_t>(i - lo_);
   }
-  return solve_shared_impl<Faults, Metrics, Stream, false>(
-      a, b, x0, opts, part, inv_diag, plan, nullptr, nullptr, nullptr);
-}
 
-/// Fold the telemetry-hub choice into the Stream hook axis; the null path
-/// instantiates NullStream, whose hooks compile away entirely.
-template <class Faults, class Metrics>
-SharedResult dispatch_stream(const CsrMatrix& a, const Vector& b,
-                             const Vector& x0, const SharedOptions& opts,
-                             const partition::Partition& part,
-                             const Vector& inv_diag,
-                             const fault::FaultPlan* plan,
-                             const BlockedCsr* blocked, const SellCsr* sell,
-                             SharedF32Vector* shadow) {
-  if (opts.stream != nullptr) {
-    return dispatch_kernel<Faults, Metrics, ActiveStream>(
-        a, b, x0, opts, part, inv_diag, plan, blocked, sell, shadow);
+  /// The reference kernel's CSR row: row i against the shared x through
+  /// the injector, with this iteration's flipped entry substituted. Traced
+  /// runs pair every off-diagonal read with its seqlock version.
+  double row_residual(index_t i, index_t iter) {
+    const auto [cols, vals] = s_.a.row(i);
+    FlippedEntry flipped;
+    const bool has_flip = faults_.flip(i, cols, vals, flipped);
+    double acc = s_.b[i];
+    if (!s_.opts.record_trace) {
+      for (std::size_t p = 0; p < cols.size(); ++p) {
+        const double aij =
+            has_flip && flipped.entry == p ? flipped.value : vals[p];
+        acc -= aij * faults_.read(x_, cols[p]);
+      }
+      return acc;
+    }
+    model::RelaxationEvent event;
+    event.row = i;
+    event.reads.reserve(cols.size());
+    for (std::size_t p = 0; p < cols.size(); ++p) {
+      const index_t j = cols[p];
+      const double aij = has_flip && flipped.entry == p ? flipped.value : vals[p];
+      const auto [value, version] =
+          faults_.read_versioned(x_, j, metrics_.retry_sink());
+      acc -= aij * value;
+      if (j == i) continue;
+      if constexpr (Metrics::enabled) metrics_.staleness(iter, version);
+      event.reads.push_back({j, version});
+    }
+    events_.push_back(std::move(event));
+    return acc;
   }
-  return dispatch_kernel<Faults, Metrics, NullStream>(
-      a, b, x0, opts, part, inv_diag, plan, blocked, sell, shadow);
-}
+
+  /// Reference in-place relaxation of row i (GS sweep, sampled draws).
+  void relax_in_place(index_t i, index_t iter) {
+    x_.writer_role().assert_held();
+    r_.writer_role().assert_held();
+    const double acc = row_residual(i, iter);
+    r_.write(i, acc);
+    x_.write(i, x_.read(i) + s_.inv_diag[i] * acc);
+  }
+
+  const Setup<ScalarLane>& s_;
+  index_t lo_;
+  index_t hi_;
+  SharedVector& x_;
+  SharedVector& r_;
+  Faults& faults_;
+  Metrics& metrics_;
+  std::vector<model::RelaxationEvent>& events_;
+  const BlockedCsr::Block* blk_ = nullptr;
+  const SellCsr::Block* sblk_ = nullptr;  ///< kSellCS only
+  OwnBlockState own_;
+  std::vector<double> ghosts_;   ///< kSellCS dense ghost buffer
+  std::vector<double> local_r_;  ///< reference kernels only
+};
 
 }  // namespace
 
 SharedResult solve_shared(const CsrMatrix& a, const Vector& b,
                           const Vector& x0, const SharedOptions& opts) {
-  AJAC_CHECK(a.num_rows() == a.num_cols());
-  const index_t n = a.num_rows();
-  AJAC_CHECK(b.size() == static_cast<std::size_t>(n));
-  AJAC_CHECK(x0.size() == static_cast<std::size_t>(n));
-  AJAC_CHECK(opts.num_threads >= 1);
-  AJAC_CHECK(opts.max_iterations >= 1);
-  if (!opts.delay_us.empty()) {
-    AJAC_CHECK(opts.delay_us.size() ==
-               static_cast<std::size_t>(opts.num_threads));
-  }
-  AJAC_CHECK_MSG(!(opts.local_gauss_seidel && opts.synchronous),
-                 "the in-place local sweep is only meaningful without "
-                 "barriers (asynchronous mode)");
-  AJAC_CHECK_MSG(!(opts.local_gauss_seidel && opts.record_trace),
-                 "read-version traces assume the Jacobi local sweep");
-  AJAC_CHECK_MSG(!(is_sampled(opts.policy) && opts.synchronous),
-                 "sampled row policies relax in place and have no "
-                 "synchronous meaning (asynchronous mode only)");
-  AJAC_CHECK_MSG(!(is_sampled(opts.policy) && opts.local_gauss_seidel),
-                 "sampled row policies define their own in-place schedule; "
-                 "local_gauss_seidel does not compose with them");
-  AJAC_CHECK_MSG(opts.weight_refresh >= 1,
-                 "weight_refresh must be a positive iteration cadence");
-  const bool sellcs = opts.kernel == KernelKind::kSellCS;
-  AJAC_CHECK_MSG(!(sellcs && opts.record_trace),
-                 "kSellCS amortizes ghost reads into per-iteration buffer "
-                 "refreshes; per-read version traces need kBlocked or "
-                 "kReference");
-  AJAC_CHECK_MSG(!(sellcs && opts.local_gauss_seidel),
-                 "the in-place local sweep reads its own fresh updates "
-                 "row-by-row; the SELL repack relaxes rows out of order "
-                 "(use kBlocked)");
-  AJAC_CHECK_MSG(!(sellcs && is_sampled(opts.policy)),
-                 "sampled row policies relax drawn rows in place; the SELL "
-                 "interior relaxes whole chunks (use kBlocked)");
-  AJAC_CHECK_MSG(
-      !(opts.ghost_precision == GhostPrecision::kFp32 && !sellcs),
-      "fp32 ghost publication is part of the kSellCS data plane; the "
-      "blocked and reference kernels read the fp64 vector per entry");
-
-  const partition::Partition part =
-      opts.partition.value_or(partition::contiguous_partition(
-          n, opts.num_threads));
-  AJAC_CHECK(part.num_parts() == opts.num_threads);
-  AJAC_CHECK(part.num_rows() == n);
-
-  // Debug invariant layer: full structural audit of the inputs before the
-  // threads start (compiled out in release builds).
-  AJAC_DBG_VALIDATE(validate::csr_structure(
-      a, {.require_sorted_rows = true, .require_diagonal = true,
-          .require_finite = true, .require_square = true}));
-  AJAC_DBG_VALIDATE(partition::validate(part, n));
-  AJAC_DBG_VALIDATE(validate::finite(b, "b"));
-  AJAC_DBG_VALIDATE(validate::finite(x0, "x0"));
-
-  Vector inv_diag = a.diagonal();
-  for (index_t i = 0; i < n; ++i) {
-    AJAC_CHECK_MSG(inv_diag[i] != 0.0, "zero diagonal at row " << i);
-    inv_diag[i] = 1.0 / inv_diag[i];
-  }
-
-  const fault::FaultPlan* plan =
-      opts.fault_plan && !opts.fault_plan->empty() ? opts.fault_plan.get()
-                                                   : nullptr;
-  if (plan != nullptr) {
-    AJAC_CHECK_MSG(!opts.synchronous,
-                   "fault injection targets the asynchronous runtime (the "
-                   "synchronous barriers serialize every fault away)");
-    AJAC_CHECK_MSG(!sellcs,
-                   "fault injection is defined per shared read; the kSellCS "
-                   "buffered data plane amortizes those reads away (use "
-                   "kBlocked)");
-    plan->validate(opts.num_threads);
-  }
-
-  obs::MetricsRegistry* metrics = opts.metrics;
-  if (metrics != nullptr) {
-    metrics->set_actor_kind("thread");
-    // Hint: one iteration span per local iteration plus a handful of
-    // instants; reserving here keeps the timed loop reallocation-free.
-    metrics->reset(opts.num_threads,
-                   static_cast<std::size_t>(opts.max_iterations) + 64);
-  }
-
-  // The blocked layout is built once per solve, before the threads start
-  // (its constructor runs its own first-touch parallel fill). Construction
-  // is O(nnz) with a binary search only on ghost entries.
-  std::optional<BlockedCsr> blocked_a;
-  if (opts.kernel != KernelKind::kReference) {
-    blocked_a.emplace(a, std::span<const index_t>(part.block_starts));
-  }
-  const BlockedCsr* blocked = blocked_a ? &*blocked_a : nullptr;
-
-  // kSellCS additions: the SELL interior repack (boundary rows keep
-  // relaxing through the blocked layout) and, for fp32 ghosts, the float
-  // shadow of x that neighbours refresh from. Both built before the
-  // threads start; the shadow starts at x0 so the first refresh reads the
-  // same values the blocked path would.
-  std::optional<SellCsr> sell_a;
-  if (sellcs) sell_a.emplace(*blocked_a);
-  const SellCsr* sell = sell_a ? &*sell_a : nullptr;
-  std::optional<SharedF32Vector> shadow_a;
-  if (opts.ghost_precision == GhostPrecision::kFp32) {
-    shadow_a.emplace(n);
-    // Single-threaded setup: momentarily the sole writer (as for x and r).
-    shadow_a->writer_role().assert_held();
-    shadow_a->init(x0);
-  }
-  SharedF32Vector* shadow = shadow_a ? &*shadow_a : nullptr;
-
-  if (opts.stream != nullptr) {
-    opts.stream->begin_run(opts.num_threads, "thread", opts.tolerance,
-                           obs::ResidualConvention::kOwnBlockSum,
-                           /*sim_time=*/false);
-  }
-
-  // 2x2 (x2 kernel, x2 stream) dispatch: faults, metrics, and telemetry
-  // each compile to no-ops when off, so the common (no plan, no registry,
-  // no hub) path is exactly the plain solver.
-  if (plan != nullptr && metrics != nullptr) {
-    return dispatch_stream<ActiveFaults, ActiveMetrics>(
-        a, b, x0, opts, part, inv_diag, plan, blocked, sell, shadow);
-  }
-  if (plan != nullptr) {
-    return dispatch_stream<ActiveFaults, NullMetrics>(
-        a, b, x0, opts, part, inv_diag, plan, blocked, sell, shadow);
-  }
-  if (metrics != nullptr) {
-    return dispatch_stream<NullFaults, ActiveMetrics>(
-        a, b, x0, opts, part, inv_diag, nullptr, blocked, sell, shadow);
-  }
-  return dispatch_stream<NullFaults, NullMetrics>(
-      a, b, x0, opts, part, inv_diag, nullptr, blocked, sell, shadow);
+  return detail::solve<ScalarLane>(a, b, x0, opts);
 }
 
 }  // namespace ajac::runtime

@@ -1,17 +1,17 @@
 #pragma once
-// Internal fault / metrics hook contexts shared by the single-RHS solver
-// (shared_jacobi.cpp) and the batched solver (shared_batch.cpp). Not
-// installed: this header lives next to the two translation units that
-// include it and is not part of the public ajac/runtime interface.
+// Internal fault / metrics / telemetry hook contexts of the shared-memory
+// worker (shared_worker.hpp), which runs both the single-RHS and the
+// batched solve. Not installed: this header lives next to the runtime
+// translation units and is not part of the public ajac/runtime interface.
 //
 // Each hook pair follows the same pattern: a Null context whose `enabled`
 // is false and whose methods are empty (every call site is `if constexpr`
 // guarded, so the unfaulted/uninstrumented instantiation compiles to the
 // plain solver, branch-free), and an Active context holding thread-local
-// state. The batch variants mirror the scalar ones over SharedMultiVector:
-// the FaultClock coordinates (seed, thread, iteration, row) are identical,
-// so a fault decision on the batch path is ONE decision per row per
-// iteration applied to all k lanes — determinism does not depend on k.
+// state. The fault injector serves both lanes: its FaultClock coordinates
+// (seed, thread, iteration, row) do not involve the lane width, so a fault
+// decision is ONE decision per row per iteration applied to all k lanes —
+// determinism does not depend on k.
 
 #include <algorithm>
 #include <cstdint>
@@ -33,16 +33,53 @@
 
 namespace ajac::runtime::detail {
 
+// Fault payloads by vector type. The injector below makes every decision
+// once; only what a stale-window snapshot stores, what a crash reset
+// rewrites, and what a stale read returns depend on the lane width.
+
+[[nodiscard]] inline index_t lane_width(const SharedVector& /*x*/) { return 1; }
+[[nodiscard]] inline index_t lane_width(const SharedMultiVector& x) {
+  return x.num_cols();
+}
+
+/// Crash recovery with state reset: rewrite row i of the shared x from x0.
+inline void reset_row(SharedVector& x, const Vector& x0, index_t i)
+    AJAC_REQUIRES(x.writer_role()) {
+  x.write(i, x0[static_cast<std::size_t>(i)]);
+}
+inline void reset_row(SharedMultiVector& x, const MultiVector& x0, index_t i)
+    AJAC_REQUIRES(x.writer_role()) {
+  x.write_row(i, {x0.row(i), static_cast<std::size_t>(x.num_cols())});
+}
+
+/// Stale-window snapshot of ghost row j into `out` (lane_width values);
+/// returns the seqlock version on traced scalar runs, else 0.
+inline index_t snapshot_row(const SharedVector& x, index_t j, double* out) {
+  if (x.traced()) {
+    const auto [value, version] = x.read_versioned(j);
+    *out = value;
+    return version;
+  }
+  *out = x.read(j);
+  return 0;
+}
+inline index_t snapshot_row(const SharedMultiVector& x, index_t j,
+                            double* out) {
+  x.read_row(j, {out, static_cast<std::size_t>(x.num_cols())});
+  return 0;
+}
+
 /// Fault context for the default (no plan) path. `enabled` is false and
-/// every hook site in solve_shared_impl is `if constexpr`-guarded, so this
-/// instantiation compiles to exactly the pre-fault solver: the zero-fault
-/// path carries no fault branches at all.
+/// every hook site is `if constexpr`-guarded, so this instantiation
+/// compiles to exactly the pre-fault solver: the zero-fault path carries
+/// no fault branches at all. Serves both lanes.
 struct NullFaults {
   static constexpr bool enabled = false;
 
-  NullFaults(const CsrMatrix& /*a*/, const Vector& /*x0*/,
+  template <class Dense, class Shared>
+  NullFaults(const CsrMatrix& /*a*/, const Dense& /*x0*/,
              const fault::FaultPlan* /*plan*/, index_t /*thread*/,
-             index_t /*lo*/, index_t /*hi*/, SharedVector& /*x*/) {}
+             index_t /*lo*/, index_t /*hi*/, Shared& /*x*/) {}
 
   void begin_iteration(index_t /*iter*/) {}
   [[nodiscard]] bool consume_state_reset() { return false; }
@@ -57,21 +94,31 @@ struct NullFaults {
       const SharedVector& x, index_t j, std::uint64_t* retries) const {
     return x.read_versioned(j, retries);
   }
+  void read_row(const SharedMultiVector& x, index_t j,
+                std::span<double> out) const {
+    x.read_row(j, out);
+  }
   [[nodiscard]] fault::FaultLog take_log() { return {}; }
 };
 
-/// Per-thread fault injector. All state is thread-local; every decision is
-/// a FaultClock hash of (seed, thread, iteration[, row]), so the injected
-/// sequence is independent of how the OS interleaves the threads.
+/// Per-thread fault injector over a SharedVector (scalar lane) or a
+/// SharedMultiVector (batch lane). All state is thread-local; every
+/// decision is a FaultClock hash of (seed, thread, iteration[, row]), so
+/// the injected sequence is independent of how the OS interleaves the
+/// threads — and of the batch width: a decision is ONE decision per row
+/// per iteration applied to all k lanes. A stale window freezes k-wide
+/// ghost rows, a bit flip corrupts the one shared a_ij every lane reads,
+/// and a crash with state reset rewrites whole rows of x from x0.
+template <class Shared, class Dense>
 class ActiveFaults {
  public:
   static constexpr bool enabled = true;
 
-  ActiveFaults(const CsrMatrix& a, const Vector& x0,
+  ActiveFaults(const CsrMatrix& a, const Dense& x0,
                const fault::FaultPlan* plan, index_t thread, index_t lo,
-               index_t hi, SharedVector& x)
+               index_t hi, Shared& x)
       : clock_(plan->seed), x0_(&x0), x_(&x), thread_(thread), lo_(lo),
-        hi_(hi) {
+        hi_(hi), width_(static_cast<std::size_t>(lane_width(x))) {
     for (const auto& s : plan->stragglers) {
       if (s.actor == thread) straggler_ = &s;
     }
@@ -96,7 +143,7 @@ class ActiveFaults {
       std::sort(ghost_cols_.begin(), ghost_cols_.end());
       ghost_cols_.erase(std::unique(ghost_cols_.begin(), ghost_cols_.end()),
                         ghost_cols_.end());
-      ghost_values_.resize(ghost_cols_.size());
+      ghost_values_.resize(ghost_cols_.size() * width_);
       ghost_versions_.assign(ghost_cols_.size(), 0);
     }
   }
@@ -131,7 +178,7 @@ class ActiveFaults {
         // This injector belongs to the thread owning rows [lo_, hi_), so
         // the sole-writer role on x holds here by the partition contract.
         x_->writer_role().assert_held();
-        for (index_t i = lo_; i < hi_; ++i) x_->write(i, (*x0_)[i]);
+        for (index_t i = lo_; i < hi_; ++i) reset_row(*x_, *x0_, i);
         // The write went behind any thread-private mirror of the own rows;
         // the blocked kernel path polls consume_state_reset() and reloads.
         state_reset_ = true;
@@ -142,14 +189,9 @@ class ActiveFaults {
       const bool on = fault::duty_active(stale_->period, stale_->duty, iter);
       if (on && !stale_on_) {
         log_.push_back({fault::FaultKind::kStaleWindowOn, thread_, iter, 0, 0});
-        for (std::size_t k = 0; k < ghost_cols_.size(); ++k) {
-          if (x_->traced()) {
-            const auto [value, version] = x_->read_versioned(ghost_cols_[k]);
-            ghost_values_[k] = value;
-            ghost_versions_[k] = version;
-          } else {
-            ghost_values_[k] = x_->read(ghost_cols_[k]);
-          }
+        for (std::size_t g = 0; g < ghost_cols_.size(); ++g) {
+          ghost_versions_[g] = snapshot_row(*x_, ghost_cols_[g],
+                                            ghost_values_.data() + g * width_);
         }
       }
       stale_on_ = on;
@@ -211,19 +253,29 @@ class ActiveFaults {
   /// Reads go through the injector: inside a stale window, off-block
   /// columns come from the frozen snapshot instead of the live vector.
   [[nodiscard]] double read(const SharedVector& x, index_t j) const {
-    if (stale_on_ && (j < lo_ || j >= hi_)) {
-      return ghost_values_[ghost_slot(j)];
-    }
+    if (stale(j)) return ghost_values_[ghost_slot(j)];
     return x.read(j);
   }
 
   [[nodiscard]] std::pair<double, index_t> read_versioned(
       const SharedVector& x, index_t j, std::uint64_t* retries) const {
-    if (stale_on_ && (j < lo_ || j >= hi_)) {
-      const std::size_t k = ghost_slot(j);
-      return {ghost_values_[k], ghost_versions_[k]};
+    if (stale(j)) {
+      const std::size_t g = ghost_slot(j);
+      return {ghost_values_[g], ghost_versions_[g]};
     }
     return x.read_versioned(j, retries);
+  }
+
+  /// Batch lane: the k-wide row read, from the frozen row snapshot inside
+  /// a stale window.
+  void read_row(const SharedMultiVector& x, index_t j,
+                std::span<double> out) const {
+    if (stale(j)) {
+      const double* src = ghost_values_.data() + ghost_slot(j) * width_;
+      std::copy(src, src + width_, out.begin());
+      return;
+    }
+    x.read_row(j, out);
   }
 
   /// Append-only within the thread; the metrics layer diffs its size to
@@ -237,6 +289,10 @@ class ActiveFaults {
   [[nodiscard]] fault::FaultLog take_log() { return std::move(log_); }
 
  private:
+  [[nodiscard]] bool stale(index_t j) const {
+    return stale_on_ && (j < lo_ || j >= hi_);
+  }
+
   [[nodiscard]] std::size_t ghost_slot(index_t j) const {
     const auto it =
         std::lower_bound(ghost_cols_.begin(), ghost_cols_.end(), j);
@@ -245,11 +301,12 @@ class ActiveFaults {
   }
 
   fault::FaultClock clock_;
-  const Vector* x0_;
-  SharedVector* x_;
+  const Dense* x0_;
+  Shared* x_;
   index_t thread_;
   index_t lo_;
   index_t hi_;
+  std::size_t width_;  ///< lanes per row: 1 scalar, k batch
   index_t iter_ = 0;
 
   const fault::StragglerSpec* straggler_ = nullptr;
@@ -263,221 +320,9 @@ class ActiveFaults {
   bool state_reset_ = false;
   double stalled_us_ = 0.0;
 
-  std::vector<index_t> ghost_cols_;  ///< sorted off-block columns
-  std::vector<double> ghost_values_;
-  std::vector<index_t> ghost_versions_;
-
-  fault::FaultLog log_;
-};
-
-/// Fault context for the batch path without a plan: same no-op shape as
-/// NullFaults, over row-wide reads.
-struct NullBatchFaults {
-  static constexpr bool enabled = false;
-
-  NullBatchFaults(const CsrMatrix& /*a*/, const MultiVector& /*x0*/,
-                  const fault::FaultPlan* /*plan*/, index_t /*thread*/,
-                  index_t /*lo*/, index_t /*hi*/, SharedMultiVector& /*x*/) {}
-
-  void begin_iteration(index_t /*iter*/) {}
-  [[nodiscard]] bool consume_state_reset() { return false; }
-  bool flip(index_t /*row*/, std::span<const index_t> /*cols*/,
-            std::span<const double> /*vals*/, FlippedEntry& /*out*/) {
-    return false;
-  }
-  void read_row(const SharedMultiVector& x, index_t j,
-                std::span<double> out) const {
-    x.read_row(j, out);
-  }
-  [[nodiscard]] fault::FaultLog take_log() { return {}; }
-};
-
-/// Per-thread fault injector for the batch path. The decision machinery
-/// (straggler duty cycles, crash schedule, stale windows, bit-flip hashes)
-/// is ActiveFaults' verbatim — same FaultClock streams, same (thread,
-/// iteration, row) coordinates — so a plan injects the same faults at the
-/// same logical instants regardless of the batch width; only the payloads
-/// widen. A stale window freezes k-wide ghost ROW snapshots, a bit flip
-/// corrupts the one shared a_ij (reused by all k lanes), and a
-/// crash-with-state-reset rewrites whole rows of the shared x from x0.
-class ActiveBatchFaults {
- public:
-  static constexpr bool enabled = true;
-
-  ActiveBatchFaults(const CsrMatrix& a, const MultiVector& x0,
-                    const fault::FaultPlan* plan, index_t thread, index_t lo,
-                    index_t hi, SharedMultiVector& x)
-      : clock_(plan->seed), x0_(&x0), x_(&x), thread_(thread), lo_(lo),
-        hi_(hi), k_(x.num_cols()) {
-    for (const auto& s : plan->stragglers) {
-      if (s.actor == thread) straggler_ = &s;
-    }
-    for (const auto& s : plan->stale_reads) {
-      if (s.actor == thread || s.actor == -1) stale_ = &s;
-    }
-    for (const auto& s : plan->crashes) {
-      if (s.actor == thread) crash_ = &s;
-    }
-    for (const auto& s : plan->bit_flips) {
-      if (s.actor == thread || s.actor == -1) flips_.push_back(&s);
-    }
-    if (stale_ != nullptr) {
-      for (index_t i = lo; i < hi; ++i) {
-        for (const index_t j : a.row_cols(i)) {
-          if (j < lo || j >= hi) ghost_cols_.push_back(j);
-        }
-      }
-      std::sort(ghost_cols_.begin(), ghost_cols_.end());
-      ghost_cols_.erase(std::unique(ghost_cols_.begin(), ghost_cols_.end()),
-                        ghost_cols_.end());
-      ghost_values_.resize(ghost_cols_.size() * static_cast<std::size_t>(k_));
-    }
-  }
-
-  void begin_iteration(index_t iter) {
-    iter_ = iter;
-    if (straggler_ != nullptr) {
-      const bool on =
-          fault::duty_active(straggler_->period, straggler_->duty, iter);
-      if (on && !straggler_on_) {
-        log_.push_back({fault::FaultKind::kStragglerOn, thread_, iter, 0, 0});
-      }
-      straggler_on_ = on;
-      if (on) {
-        spin_wait_us(straggler_->extra_delay_us);
-        stalled_us_ += straggler_->extra_delay_us;
-      }
-    }
-    if (crash_ != nullptr && !crashed_ && iter >= crash_->crash_iteration) {
-      crashed_ = true;
-      log_.push_back({fault::FaultKind::kCrash, thread_, iter, 0, 0});
-      spin_wait_us(crash_->dead_seconds * 1e6);
-      stalled_us_ += crash_->dead_seconds * 1e6;
-      if (crash_->reset_state_on_recovery) {
-        // Sole-writer role on x holds: this thread owns rows [lo_, hi_).
-        x_->writer_role().assert_held();
-        for (index_t i = lo_; i < hi_; ++i) {
-          x_->write_row(i, {x0_->row(i), static_cast<std::size_t>(k_)});
-        }
-        state_reset_ = true;
-      }
-      log_.push_back({fault::FaultKind::kRecover, thread_, iter, 0, 0});
-    }
-    if (stale_ != nullptr) {
-      const bool on = fault::duty_active(stale_->period, stale_->duty, iter);
-      if (on && !stale_on_) {
-        log_.push_back({fault::FaultKind::kStaleWindowOn, thread_, iter, 0, 0});
-        for (std::size_t g = 0; g < ghost_cols_.size(); ++g) {
-          x_->read_row(ghost_cols_[g],
-                       std::span<double>(ghost_values_.data() +
-                                             g * static_cast<std::size_t>(k_),
-                                         static_cast<std::size_t>(k_)));
-        }
-      }
-      stale_on_ = on;
-    }
-  }
-
-  [[nodiscard]] bool consume_state_reset() {
-    return std::exchange(state_reset_, false);
-  }
-
-  /// Identical to ActiveFaults::flip — one decision per (iteration, row),
-  /// and the corrupted a_ij feeds every lane of that row's relaxation.
-  bool flip(index_t row, std::span<const index_t> cols,
-            std::span<const double> vals, FlippedEntry& out) {
-    for (const fault::BitFlipSpec* s : flips_) {
-      if (iter_ < s->first_iteration || iter_ >= s->last_iteration) continue;
-      if (!clock_.bernoulli(s->probability, fault::FaultClock::kBitFlipTrigger,
-                            static_cast<std::uint64_t>(thread_),
-                            static_cast<std::uint64_t>(iter_),
-                            static_cast<std::uint64_t>(row))) {
-        continue;
-      }
-      std::size_t off_diag = 0;
-      for (const index_t j : cols) off_diag += (j != row) ? 1 : 0;
-      if (off_diag == 0) continue;
-      const std::uint64_t target =
-          clock_.pick(off_diag, fault::FaultClock::kBitFlipEntry,
-                      static_cast<std::uint64_t>(thread_),
-                      static_cast<std::uint64_t>(iter_),
-                      static_cast<std::uint64_t>(row));
-      std::uint64_t seen = 0;
-      std::size_t entry = 0;
-      for (std::size_t p = 0; p < cols.size(); ++p) {
-        if (cols[p] == row) continue;
-        if (seen++ == target) {
-          entry = p;
-          break;
-        }
-      }
-      const int bit =
-          s->bit >= 0
-              ? s->bit
-              : static_cast<int>(clock_.pick(
-                    52, fault::FaultClock::kBitFlipBit,
-                    static_cast<std::uint64_t>(thread_),
-                    static_cast<std::uint64_t>(iter_),
-                    static_cast<std::uint64_t>(row)));
-      out.entry = entry;
-      out.value = fault::flip_bit(vals[entry], bit);
-      log_.push_back({fault::FaultKind::kBitFlip, thread_, iter_, row,
-                      static_cast<index_t>(bit)});
-      return true;
-    }
-    return false;
-  }
-
-  /// Row reads go through the injector: inside a stale window, off-block
-  /// rows come from the frozen k-wide snapshot instead of the live vector.
-  void read_row(const SharedMultiVector& x, index_t j,
-                std::span<double> out) const {
-    if (stale_on_ && (j < lo_ || j >= hi_)) {
-      const std::size_t g = ghost_slot(j);
-      const double* src =
-          ghost_values_.data() + g * static_cast<std::size_t>(k_);
-      for (index_t c = 0; c < k_; ++c) {
-        out[static_cast<std::size_t>(c)] = src[c];
-      }
-      return;
-    }
-    x.read_row(j, out);
-  }
-
-  [[nodiscard]] const fault::FaultLog& log() const { return log_; }
-  [[nodiscard]] double stalled_us() const { return stalled_us_; }
-  [[nodiscard]] fault::FaultLog take_log() { return std::move(log_); }
-
- private:
-  [[nodiscard]] std::size_t ghost_slot(index_t j) const {
-    const auto it =
-        std::lower_bound(ghost_cols_.begin(), ghost_cols_.end(), j);
-    AJAC_DBG_CHECK(it != ghost_cols_.end() && *it == j);
-    return static_cast<std::size_t>(it - ghost_cols_.begin());
-  }
-
-  fault::FaultClock clock_;
-  const MultiVector* x0_;
-  SharedMultiVector* x_;
-  index_t thread_;
-  index_t lo_;
-  index_t hi_;
-  index_t k_;
-  index_t iter_ = 0;
-
-  const fault::StragglerSpec* straggler_ = nullptr;
-  const fault::StaleReadSpec* stale_ = nullptr;
-  const fault::CrashSpec* crash_ = nullptr;
-  std::vector<const fault::BitFlipSpec*> flips_;
-
-  bool straggler_on_ = false;
-  bool stale_on_ = false;
-  bool crashed_ = false;
-  bool state_reset_ = false;
-  double stalled_us_ = 0.0;
-
-  std::vector<index_t> ghost_cols_;  ///< sorted off-block columns
-  std::vector<double> ghost_values_;  ///< row-major ghosts x k snapshot
+  std::vector<index_t> ghost_cols_;     ///< sorted off-block columns
+  std::vector<double> ghost_values_;    ///< row-major ghosts x width snapshot
+  std::vector<index_t> ghost_versions_;  ///< traced scalar runs only
 
   fault::FaultLog log_;
 };

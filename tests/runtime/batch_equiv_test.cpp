@@ -224,8 +224,9 @@ TEST(BatchEquiv, MetricsRegistryDoesNotPerturbResults) {
 
 TEST(BatchEquiv, SingleColumnFaultRunMatchesScalar) {
   // k = 1 batch under a fault plan must reproduce the scalar fault run
-  // bitwise, including the injected-event log: ActiveBatchFaults hashes
-  // the same (seed, thread, iteration, row) FaultClock coordinates.
+  // bitwise, including the injected-event log: the injector hashes the
+  // same (seed, thread, iteration, row) FaultClock coordinates on both
+  // lanes.
   const auto p = gen::make_problem("fd", gen::fd_laplacian_2d(10, 10),
                                    ajac::testing::test_seed(101));
   auto plan = std::make_shared<fault::FaultPlan>();
@@ -260,6 +261,64 @@ TEST(BatchEquiv, SingleColumnFaultRunMatchesScalar) {
         << "fault log diverged at event " << e;
   }
   EXPECT_FALSE(batch.fault_events.empty());
+}
+
+/// kStop instants on every actor's timeline.
+std::size_t stop_instants(const obs::MetricsRegistry& reg) {
+  std::size_t count = 0;
+  for (index_t t = 0; t < reg.num_actors(); ++t) {
+    const obs::ActorSlot& slot = reg.actor(t);
+    slot.owner.assert_shared();  // read after the solve joined
+    for (const obs::TraceEvent& e : slot.events) {
+      count += e.kind == obs::TraceKind::kStop ? 1 : 0;
+    }
+  }
+  return count;
+}
+
+TEST(BatchEquiv, SingleColumnMetricsMatchScalar) {
+  // One worker serves both calls, so a k = 1 batch records the scalar
+  // solve's iteration, relaxation and flag-raise counts, and both record
+  // one kStop instant per decided stop — in synchronous mode and
+  // asynchronously at one thread, where the runs are deterministic.
+  const auto p = gen::make_problem("fd", gen::fd_laplacian_2d(10, 10),
+                                   ajac::testing::test_seed(111));
+  const index_t n = p.a.num_rows();
+  MultiVector b(n, 1);
+  MultiVector x0(n, 1);
+  b.set_column(0, p.b);
+  x0.set_column(0, p.x0);
+  for (const bool sync : {true, false}) {
+    SCOPED_TRACE(sync ? "synchronous, 3 threads" : "asynchronous, 1 thread");
+    SharedOptions opts;
+    opts.num_threads = sync ? 3 : 1;
+    opts.synchronous = sync;
+    opts.tolerance = 1e-8;
+    opts.max_iterations = 40000;
+    opts.record_history = false;
+
+    obs::MetricsRegistry scalar_reg;
+    opts.metrics = &scalar_reg;
+    const SharedResult scalar = solve_shared(p.a, p.b, p.x0, opts);
+    obs::MetricsRegistry batch_reg;
+    opts.metrics = &batch_reg;
+    const SharedBatchResult batch = solve_shared_batch(p.a, b, x0, opts);
+    expect_column_bitwise(batch.x, 0, scalar.x);
+
+    const obs::MetricsSnapshot ss = scalar_reg.snapshot();
+    const obs::MetricsSnapshot bs = batch_reg.snapshot();
+    for (const obs::Counter c :
+         {obs::Counter::kIterations, obs::Counter::kRelaxations,
+          obs::Counter::kFlagRaises}) {
+      EXPECT_EQ(bs.totals[static_cast<std::size_t>(c)],
+                ss.totals[static_cast<std::size_t>(c)])
+          << "counter " << static_cast<int>(c);
+    }
+    EXPECT_GT(ss.totals[static_cast<std::size_t>(obs::Counter::kIterations)],
+              0u);
+    EXPECT_EQ(stop_instants(scalar_reg), 1u);
+    EXPECT_EQ(stop_instants(batch_reg), 1u);
+  }
 }
 
 TEST(BatchEquiv, FaultRunsAreDeterministic) {
