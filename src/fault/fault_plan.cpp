@@ -134,6 +134,15 @@ void canonicalize(FaultLog& log) {
             });
 }
 
+FaultLog merge(const std::vector<FaultLog>& per_actor) {
+  FaultLog out;
+  for (const FaultLog& log : per_actor) {
+    out.insert(out.end(), log.begin(), log.end());
+  }
+  canonicalize(out);
+  return out;
+}
+
 std::string to_json(const FaultLog& log) {
   std::ostringstream out;
   out << "[";

@@ -217,8 +217,6 @@ struct FaultPlan {
            message_faults.empty() && bit_flips.empty() && crashes.empty();
   }
 
-  [[nodiscard]] FaultClock clock() const noexcept { return FaultClock{seed}; }
-
   /// Check every spec against the actor count (threads or ranks); throws
   /// std::logic_error on out-of-range actors, probabilities outside [0, 1],
   /// non-positive periods, or duplicate per-actor specs of one kind.
@@ -233,6 +231,9 @@ struct FaultPlan {
 /// an actor different fault kinds may interleave; canonical order makes
 /// logs from different runs directly comparable.
 void canonicalize(FaultLog& log);
+
+/// The per-actor logs of one run as one log, in canonical order.
+[[nodiscard]] FaultLog merge(const std::vector<FaultLog>& per_actor);
 
 /// Serialize a log as a JSON array of event objects.
 [[nodiscard]] std::string to_json(const FaultLog& log);

@@ -16,14 +16,17 @@
 //   - FaultPlan decisions are interleaving-independent (FaultClock keyed
 //     on logical coordinates, park-at-cap identical to solve_shared).
 //
-// Termination reuses the paper's shared-memory protocol verbatim: agents
-// publish their committed values and staged residuals to two untraced
+// Termination runs the shared-memory runtime's control plane
+// (ajac/runtime/control_plane.hpp) as its k = 1 case: agents publish
+// their committed values and staged residuals to two untraced
 // SharedVector "boards" (control plane only — relaxations never read
 // them), take the racy 1-norm over the residual board in natural row
-// order, raise per-agent flags, and a verified stop recomputes a fresh
-// residual from the x board before latching. Solution data still flows
-// agent-to-agent exclusively through the queues; the boards exist so the
-// mesh stops exactly when solve_shared would, which is what makes the
+// order, and raise flags on the same TerminationBoard, whose verified stop
+// recomputes a fresh residual from the x board before latching. The fault
+// schedule, the metrics recorder and the serial verification with polish
+// are the shared runtime's too. Solution data still flows agent-to-agent
+// exclusively through the queues; the boards exist so the mesh stops
+// exactly when solve_shared would, which is what makes the
 // cross-validation contracts above exact. (A fully distributed
 // termination protocol is out of the paper's scope; see DESIGN.md §5g.)
 

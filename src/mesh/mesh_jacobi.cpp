@@ -3,19 +3,21 @@
 #include <sched.h>
 
 #include <algorithm>
-#include <atomic>
 #include <barrier>
+#include <cmath>
 #include <deque>
 #include <optional>
 #include <span>
 #include <thread>
 #include <utility>
 
-#include "ajac/mesh/processor.hpp"
+#include "ajac/fault/actor_schedule.hpp"
 #include "ajac/mesh/spsc_queue.hpp"
 #include "ajac/mesh/topology.hpp"
 #include "ajac/obs/metrics.hpp"
+#include "ajac/runtime/control_plane.hpp"
 #include "ajac/runtime/shared_vector.hpp"
+#include "ajac/solvers/stationary.hpp"
 #include "ajac/sparse/csr.hpp"
 #include "ajac/sparse/validate.hpp"
 #include "ajac/sparse/vector_ops.hpp"
@@ -27,248 +29,91 @@ namespace ajac::mesh {
 
 namespace {
 
-/// Per-agent queue traffic tallies, folded into MeshResult (and the
-/// metrics slot) after the join.
-struct AgentTotals {
-  index_t sent = 0;
-  index_t received = 0;
-  index_t dropped = 0;
-  index_t duplicated = 0;
-  index_t queue_full = 0;
-};
+using runtime::MessageTotals;
+using runtime::SharedVector;
 
 /// Fault context for the default (no plan) path: `enabled` is false and
 /// every hook site below is `if constexpr`-guarded, so this instantiation
-/// compiles to the plain mesh driver (same Null/Active pattern as
-/// src/runtime/solve_hooks.hpp).
+/// compiles to the plain mesh driver.
 struct NullMeshFaults {
   static constexpr bool enabled = false;
 
-  NullMeshFaults(const fault::FaultPlan* /*plan*/, index_t /*agent*/) {}
-
-  void begin_iteration(index_t /*iter*/) {}
-  [[nodiscard]] bool stale_window_active() const { return false; }
-  [[nodiscard]] bool consume_state_reset() { return false; }
-  [[nodiscard]] bool drop_message(std::uint64_t /*edge*/, index_t /*recv*/,
-                                  index_t /*k*/) {
-    return false;
-  }
-  [[nodiscard]] bool duplicate_message(std::uint64_t /*edge*/,
-                                       index_t /*recv*/, index_t /*k*/) {
-    return false;
-  }
-  [[nodiscard]] fault::FaultLog take_log() { return {}; }
+  template <class... Args>
+  explicit NullMeshFaults(Args&&... /*unused*/) {}
 };
 
-/// Per-agent fault injector. Straggler / crash / stale-window decisions
-/// are keyed on the local iteration exactly like the shared runtime's
-/// ActiveFaults; message drop / duplicate decisions are keyed on
-/// (directed edge, sender's per-edge packet counter) exactly like
+/// Per-agent fault injector. The straggler / crash / stale-window schedule
+/// is fault::ActorSchedule, the one the shared runtime's threads run, so
+/// one plan injects at the same logical instants in both runtimes; this
+/// injector adds the mesh payloads. Message drop / duplicate decisions are
+/// keyed on (directed edge, sender's per-edge packet counter) exactly like
 /// distsim, so the injected sequence is a pure function of the plan —
-/// independent of scheduling — and one plan means the same thing on the
-/// simulator and the real mesh.
+/// independent of scheduling.
 class ActiveMeshFaults {
  public:
   static constexpr bool enabled = true;
 
-  ActiveMeshFaults(const fault::FaultPlan* plan, index_t agent)
-      : clock_(plan->seed), agent_(agent) {
-    for (const auto& s : plan->stragglers) {
-      if (s.actor == agent) straggler_ = &s;
-    }
-    for (const auto& s : plan->stale_reads) {
-      if (s.actor == agent || s.actor == -1) stale_ = &s;
-    }
-    for (const auto& s : plan->crashes) {
-      if (s.actor == agent) crash_ = &s;
-    }
+  ActiveMeshFaults(const fault::FaultPlan* plan, index_t agent,
+                   const AgentBlock& blk, const Vector& x0, Vector& x_local,
+                   SharedVector& x_board)
+      : schedule_(*plan, agent), blk_(&blk), x0_(&x0), x_local_(&x_local),
+        x_board_(&x_board) {
     for (const auto& s : plan->message_faults) {
       if (s.sender == -1 || s.sender == agent) msg_specs_.push_back(&s);
     }
   }
 
-  /// Straggler stall, crash-and-recover, and stale-window bookkeeping, in
-  /// that order, at the top of local iteration `iter` (the shared
-  /// runtime's sequencing, so one plan injects at the same logical
-  /// instants in both runtimes).
   void begin_iteration(index_t iter) {
-    if (straggler_ != nullptr) {
-      const bool on =
-          fault::duty_active(straggler_->period, straggler_->duty, iter);
-      if (on && !straggler_on_) {
-        log_.push_back({fault::FaultKind::kStragglerOn, agent_, iter, 0, 0});
-      }
-      straggler_on_ = on;
-      if (on) spin_wait_us(straggler_->extra_delay_us);
-    }
-    if (crash_ != nullptr && !crashed_ && iter >= crash_->crash_iteration) {
-      // A mesh crash is an agent that stops participating for
-      // dead_seconds and resumes — optionally from the initial guess on
-      // its rows (lost memory; the driver performs the reset). Packets
-      // that arrive while it is down pile up in its bounded inbound rings
-      // and the overflow is dropped: the mesh analogue of distsim's
-      // "messages to a dead rank are lost".
-      crashed_ = true;
-      log_.push_back({fault::FaultKind::kCrash, agent_, iter, 0, 0});
-      spin_wait_us(crash_->dead_seconds * 1e6);
-      state_reset_ = crash_->reset_state_on_recovery;
-      log_.push_back({fault::FaultKind::kRecover, agent_, iter, 0, 0});
-    }
-    if (stale_ != nullptr) {
-      const bool on = fault::duty_active(stale_->period, stale_->duty, iter);
-      if (on && !stale_on_) {
-        log_.push_back({fault::FaultKind::kStaleWindowOn, agent_, iter, 0, 0});
-      }
-      stale_on_ = on;
+    if (!schedule_.begin_iteration(iter).reset_state) return;
+    // Crash recovery with lost memory: restart the own rows from the
+    // initial guess, locally and on the board (so the verified stop sees
+    // the reset state). Neighbors keep their last received values until
+    // the next publish. The topology makes this agent the board's sole
+    // writer on its rows.
+    x_board_->writer_role().assert_held();
+    for (const index_t i : blk_->rows) {
+      (*x_local_)[i] = (*x0_)[i];
+      x_board_->write(i, (*x0_)[i]);
     }
   }
 
-  /// While active the driver skips its queue drains, freezing the ghost
+  /// While active the agent skips its queue drains, freezing the ghost
   /// values in place — the message-passing realization of the shared
   /// runtime's frozen off-block snapshot.
-  [[nodiscard]] bool stale_window_active() const { return stale_on_; }
-
-  /// True exactly once after a crash recovery requested a state reset;
-  /// consuming clears it.
-  [[nodiscard]] bool consume_state_reset() {
-    return std::exchange(state_reset_, false);
+  [[nodiscard]] bool stale_window_active() const {
+    return schedule_.stale_window_active();
   }
 
-  [[nodiscard]] bool drop_message(std::uint64_t edge, index_t receiver,
-                                  index_t k) {
+  /// Whether the k-th packet on `edge` is dropped (kMessageDrop) or
+  /// duplicated (kMessageDuplicate); a hit is logged.
+  [[nodiscard]] bool message_fault(fault::FaultKind kind, std::uint64_t edge,
+                                   index_t receiver, index_t k) {
+    const bool drop = kind == fault::FaultKind::kMessageDrop;
     for (const fault::MessageFaultSpec* s : msg_specs_) {
       if (s->receiver >= 0 && s->receiver != receiver) continue;
-      if (clock_.bernoulli(s->drop_probability,
-                           fault::FaultClock::kMessageDrop, edge,
-                           static_cast<std::uint64_t>(k))) {
-        log_.push_back(
-            {fault::FaultKind::kMessageDrop, agent_, k, receiver, 0});
+      if (schedule_.clock().bernoulli(
+              drop ? s->drop_probability : s->duplicate_probability,
+              drop ? fault::FaultClock::kMessageDrop
+                   : fault::FaultClock::kMessageDuplicate,
+              edge, static_cast<std::uint64_t>(k))) {
+        schedule_.record(kind, k, receiver);
         return true;
       }
     }
     return false;
   }
 
-  [[nodiscard]] bool duplicate_message(std::uint64_t edge, index_t receiver,
-                                       index_t k) {
-    for (const fault::MessageFaultSpec* s : msg_specs_) {
-      if (s->receiver >= 0 && s->receiver != receiver) continue;
-      if (clock_.bernoulli(s->duplicate_probability,
-                           fault::FaultClock::kMessageDuplicate, edge,
-                           static_cast<std::uint64_t>(k))) {
-        log_.push_back(
-            {fault::FaultKind::kMessageDuplicate, agent_, k, receiver, 0});
-        return true;
-      }
-    }
-    return false;
-  }
-
-  [[nodiscard]] fault::FaultLog take_log() { return std::move(log_); }
+  /// The composed schedule: its log (with this injector's own kinds) and
+  /// stall total feed the metrics layer and the merged run log.
+  [[nodiscard]] fault::ActorSchedule& schedule() { return schedule_; }
 
  private:
-  fault::FaultClock clock_;
-  index_t agent_;
-  const fault::StragglerSpec* straggler_ = nullptr;
-  const fault::StaleReadSpec* stale_ = nullptr;
-  const fault::CrashSpec* crash_ = nullptr;
+  fault::ActorSchedule schedule_;
+  const AgentBlock* blk_;
+  const Vector* x0_;
+  Vector* x_local_;
+  SharedVector* x_board_;
   std::vector<const fault::MessageFaultSpec*> msg_specs_;
-  bool straggler_on_ = false;
-  bool stale_on_ = false;
-  bool crashed_ = false;
-  bool state_reset_ = false;
-  fault::FaultLog log_;
-};
-
-/// Metrics context for the uninstrumented path.
-struct NullMeshMetrics {
-  static constexpr bool enabled = false;
-
-  NullMeshMetrics(obs::MetricsRegistry* /*reg*/, index_t /*agent*/,
-                  const WallTimer& /*timer*/) {}
-
-  void iteration_begin() {}
-  void iteration_end(index_t /*iter*/, index_t /*own_rows*/) {}
-  void flag_update(bool /*done*/) {}
-  void stop_decided() {}
-  void drain_summary(index_t /*popped*/) {}
-  void ghost_age(index_t /*iter*/, index_t /*header*/) {}
-  void fold_totals(const AgentTotals& /*totals*/,
-                   const fault::FaultLog& /*log*/) {}
-};
-
-/// Per-agent metrics slot feeding obs::MetricsRegistry (EventRing-backed
-/// timeline + counters/histograms), one "agent" lane per mesh agent.
-class ActiveMeshMetrics {
- public:
-  static constexpr bool enabled = true;
-
-  ActiveMeshMetrics(obs::MetricsRegistry* reg, index_t agent,
-                    const WallTimer& timer)
-      : slot_(&reg->actor(agent)), timer_(&timer) {
-    // One slot per agent by the registry's contract: this thread is the
-    // slot's sole writer for the whole run.
-    slot_->owner.assert_held();
-  }
-
-  void iteration_begin() { t0_us_ = timer_->microseconds(); }
-
-  void iteration_end(index_t iter, index_t own_rows) {
-    slot_->owner.assert_held();
-    const double t1 = timer_->microseconds();
-    slot_->add(obs::Counter::kIterations);
-    slot_->add(obs::Counter::kRelaxations,
-               static_cast<std::uint64_t>(own_rows));
-    slot_->record(obs::Hist::kIterationUs,
-                  static_cast<std::uint64_t>(t1 - t0_us_));
-    slot_->span(obs::TraceKind::kIteration, t0_us_, t1, iter);
-  }
-
-  void flag_update(bool done) {
-    slot_->owner.assert_held();
-    if (done && !flag_up_) slot_->add(obs::Counter::kFlagRaises);
-    flag_up_ = done;
-  }
-
-  void stop_decided() {
-    slot_->owner.assert_held();
-    slot_->instant(obs::TraceKind::kStop, timer_->microseconds());
-  }
-
-  /// Mailbox depth observed by one drain pass (popped packet count).
-  void drain_summary(index_t popped) {
-    slot_->owner.assert_held();
-    slot_->record(obs::Hist::kQueueDepth, static_cast<std::uint64_t>(popped));
-  }
-
-  /// Sender-iteration lag of an applied ghost packet.
-  void ghost_age(index_t iter, index_t header) {
-    slot_->owner.assert_held();
-    const index_t age = iter > header ? iter - header : 0;
-    slot_->record(obs::Hist::kGhostReadAge, static_cast<std::uint64_t>(age));
-  }
-
-  void fold_totals(const AgentTotals& totals, const fault::FaultLog& log) {
-    slot_->owner.assert_held();
-    slot_->add(obs::Counter::kMessagesSent,
-               static_cast<std::uint64_t>(totals.sent));
-    slot_->add(obs::Counter::kMessagesReceived,
-               static_cast<std::uint64_t>(totals.received));
-    slot_->add(obs::Counter::kMessagesDropped,
-               static_cast<std::uint64_t>(totals.dropped));
-    slot_->add(obs::Counter::kMessagesDuplicated,
-               static_cast<std::uint64_t>(totals.duplicated));
-    slot_->add(obs::Counter::kQueueFullDrops,
-               static_cast<std::uint64_t>(totals.queue_full));
-    slot_->add(obs::Counter::kFaultEvents,
-               static_cast<std::uint64_t>(log.size()));
-  }
-
- private:
-  obs::ActorSlot* slot_;
-  const WallTimer* timer_;
-  double t0_us_ = 0.0;
-  bool flag_up_ = false;
 };
 
 template <bool Sync, class Faults, class Metrics>
@@ -278,6 +123,7 @@ MeshResult solve_mesh_impl(const CsrMatrix& a, const Vector& b,
                            const fault::FaultPlan* plan) {
   const index_t n = a.num_rows();
   const index_t na = topo.num_agents();
+  const auto na_sz = static_cast<std::size_t>(na);
 
   // Control-plane boards (see mesh_jacobi.hpp): untraced SharedVectors
   // holding every agent's committed x and staged residual, read only by
@@ -285,31 +131,26 @@ MeshResult solve_mesh_impl(const CsrMatrix& a, const Vector& b,
   // single relaxed stores, so overlapping owners committing the same row
   // are a benign last-write-wins race (and write identical values in
   // synchronous mode).
-  runtime::SharedVector x_board(n, /*traced=*/false);
-  runtime::SharedVector r_board(n, /*traced=*/false);
+  SharedVector x_board(n, /*traced=*/false);
+  SharedVector r_board(n, /*traced=*/false);
   // Single-threaded setup: momentarily the sole writer of both boards.
   x_board.writer_role().assert_held();
   r_board.writer_role().assert_held();
   x_board.init(x0);
   // The initial residual, computed once: it seeds the r board and gives
   // the norm every relative residual divides by.
-  const double r0_norm = [&] {
-    // Lambdas are analyzed as separate functions: re-claim the role.
-    r_board.writer_role().assert_held();
+  double r0_norm = 0.0;
+  {
     Vector r0(static_cast<std::size_t>(n));
     a.residual(x0, b, r0);
     r_board.init(r0);
-    const double nrm = vec::norm1(r0);
-    return nrm > 0.0 ? nrm : 1.0;
-  }();
-
-  std::vector<std::atomic<int>> flags(static_cast<std::size_t>(na));
-  // racy-ok(init): single-threaded setup; std::thread creation publishes.
-  for (auto& f : flags) f.store(0, std::memory_order_relaxed);
-  std::vector<std::atomic<index_t>> iter_counts(static_cast<std::size_t>(na));
-  // racy-ok(init): single-threaded setup; std::thread creation publishes.
-  for (auto& c : iter_counts) c.store(0, std::memory_order_relaxed);
-  std::atomic<int> stop{0};
+    r0_norm = vec::norm1(r0);
+  }
+  r0_norm = r0_norm > 0.0 ? r0_norm : 1.0;
+  // The mesh is the k = 1 case of the shared runtime's termination board,
+  // verifying its stops against the x board.
+  runtime::TerminationBoard<Vector, SharedVector> board(
+      a, b, x_board, {&r0_norm, 1}, na, opts.max_iterations, opts.tolerance);
 
   // One SPSC ring per directed edge, sized to the edge's boundary width.
   // deque, not vector: the ring is immovable (index atomics), and deque
@@ -321,13 +162,11 @@ MeshResult solve_mesh_impl(const CsrMatrix& a, const Vector& b,
   }
 
   MeshResult result;
-  result.iterations_per_agent.assign(static_cast<std::size_t>(na), 0);
-  std::vector<std::vector<MeshHistoryPoint>> histories(
-      static_cast<std::size_t>(na));
-  std::vector<std::vector<model::RelaxationEvent>> agent_events(
-      static_cast<std::size_t>(na));
-  std::vector<fault::FaultLog> fault_logs(static_cast<std::size_t>(na));
-  std::vector<AgentTotals> agent_totals(static_cast<std::size_t>(na));
+  result.iterations_per_agent.assign(na_sz, 0);
+  std::vector<std::vector<MeshHistoryPoint>> histories(na_sz);
+  std::vector<std::vector<model::RelaxationEvent>> agent_events(na_sz);
+  std::vector<fault::FaultLog> fault_logs(na_sz);
+  std::vector<MessageTotals> agent_totals(na_sz);
 
   // Lockstep gate for the synchronous schedule (solve_shared's three
   // barriers per iteration). std::barrier is TSan-native, unlike the
@@ -338,7 +177,8 @@ MeshResult solve_mesh_impl(const CsrMatrix& a, const Vector& b,
   WallTimer timer;
 
   auto agent_main = [&](index_t t) {
-    const AgentBlock& blk = topo.agents[static_cast<std::size_t>(t)];
+    const auto ts = static_cast<std::size_t>(t);
+    const AgentBlock& blk = topo.agents[ts];
     const auto own_rows = static_cast<index_t>(blk.rows.size());
 
     // The agent's full-length local view: own rows hold its committed
@@ -348,7 +188,7 @@ MeshResult solve_mesh_impl(const CsrMatrix& a, const Vector& b,
     // support for arbitrary non-contiguous and overlapping row sets: no
     // index translation anywhere in the hot loop.
     Vector x_local = x0;
-    std::vector<double> staged(static_cast<std::size_t>(own_rows));
+    std::vector<double> staged(blk.rows.size());
     // Per-column versions for trace mode: commit count of own rows,
     // packet-header-derived count of ghosts (disjoint sets only, so both
     // are well-defined). Sized only when tracing.
@@ -378,11 +218,11 @@ MeshResult solve_mesh_impl(const CsrMatrix& a, const Vector& b,
       queues[static_cast<std::size_t>(e)].consumer.assert_held();
     }
 
-    Faults faults(plan, t);
+    Faults faults(plan, t, blk, x0, x_local, x_board);
     Metrics metrics(opts.metrics, t, timer);
-    AgentTotals totals;
-    auto& my_history = histories[static_cast<std::size_t>(t)];
-    auto& my_events = agent_events[static_cast<std::size_t>(t)];
+    MessageTotals totals;
+    auto& my_history = histories[ts];
+    auto& my_events = agent_events[ts];
     if (opts.record_history) {
       // Reserve outside the timed loop (reallocation mid-run would
       // perturb the asynchronous interleaving); parked agents never pass
@@ -390,11 +230,6 @@ MeshResult solve_mesh_impl(const CsrMatrix& a, const Vector& b,
       my_history.reserve(static_cast<std::size_t>(opts.max_iterations));
     }
     std::vector<index_t> sent_on_edge(blk.out_edges.size(), 0);
-
-    const JacobiProcessor proc(a, b, inv_diag);
-    static_assert(
-        IterativeProcessorFor<JacobiProcessor,
-                              decltype([](index_t) { return 0.0; })>);
 
     index_t iter = 0;
 
@@ -441,7 +276,8 @@ MeshResult solve_mesh_impl(const CsrMatrix& a, const Vector& b,
         [[maybe_unused]] const std::uint64_t key =
             directed_edge_key(edge.sender, edge.receiver);
         if constexpr (Faults::enabled) {
-          if (faults.drop_message(key, edge.receiver, k)) {
+          if (faults.message_fault(fault::FaultKind::kMessageDrop, key,
+                                   edge.receiver, k)) {
             ++totals.dropped;
             continue;
           }
@@ -454,7 +290,8 @@ MeshResult solve_mesh_impl(const CsrMatrix& a, const Vector& b,
         ++totals.sent;
         if (!q.try_push(iter, payload)) ++totals.queue_full;
         if constexpr (Faults::enabled) {
-          if (faults.duplicate_message(key, edge.receiver, k)) {
+          if (faults.message_fault(fault::FaultKind::kMessageDuplicate, key,
+                                   edge.receiver, k)) {
             ++totals.duplicated;
             ++totals.sent;
             if (!q.try_push(iter, payload)) ++totals.queue_full;
@@ -463,70 +300,18 @@ MeshResult solve_mesh_impl(const CsrMatrix& a, const Vector& b,
       }
     };
 
-    // Verified stop, verbatim the shared runtime's: the flags rest on
-    // racy residual reads, so before latching `stop` either prove every
-    // agent hit the cap or recompute a fresh residual from the x board.
-    auto verify_and_maybe_stop = [&] {
-      bool all_at_max = true;
-      for (auto& c : iter_counts) {
-        // racy-ok(monotonic): counters only grow; a stale read can only
-        // delay the stop decision, never produce a premature one.
-        if (c.load(std::memory_order_relaxed) < opts.max_iterations) {
-          all_at_max = false;
-          break;
-        }
-      }
-      bool tol_met = false;
-      if (!all_at_max && opts.tolerance > 0.0) {
-        double fresh = 0.0;
-        for (index_t i = 0; i < n; ++i) {
-          double acc = b[i];
-          const auto [cols, vals] = a.row(i);
-          for (std::size_t p = 0; p < cols.size(); ++p) {
-            acc -= vals[p] * x_board.read(cols[p]);
-          }
-          fresh += std::abs(acc);
-        }
-        tol_met = fresh / r0_norm <= opts.tolerance;
-      }
-      if (all_at_max || tol_met) {
-        // racy-ok(stop): 0 -> 1 broadcast; readers poll it and the
-        // results are read after the join.
-        stop.store(1, std::memory_order_relaxed);
-        if constexpr (Metrics::enabled) metrics.stop_decided();
-      }
-    };
-
-    // racy-ok(stop): stop only transitions 0 -> 1; a stale read costs one
-    // extra polling pass, nothing more.
-    while (stop.load(std::memory_order_relaxed) == 0) {
-      if (iter >= opts.max_iterations) {
-        // Park-at-cap, identical policy to solve_shared: relaxing past
-        // the cap would make the executed (agent, iteration) set — and
-        // with it the fault log and relaxation totals — scheduler-
-        // dependent. Poll the flags and re-verify until stop is decided.
-        // (Unreachable in synchronous mode: lockstep flags all rise at
-        // the cap iteration and verify latches stop before re-entry.)
-        int parked_done = 0;
-        // racy-ok(flag): flags are hints; verify_and_maybe_stop re-checks.
-        for (auto& f : flags) parked_done += f.load(std::memory_order_relaxed);
-        if (parked_done == static_cast<int>(na)) verify_and_maybe_stop();
-        sched_yield();
+    while (!board.stopped()) {
+      if (board.at_cap(iter)) {
+        // Park-at-cap, the shared runtime's policy (never reached in
+        // synchronous mode: lockstep flags all rise at the cap iteration
+        // and the verified stop latches before re-entry).
+        board.park(iter, metrics);
         continue;
       }
       if constexpr (Metrics::enabled) metrics.iteration_begin();
       if constexpr (Faults::enabled) {
         faults.begin_iteration(iter);
-        if (faults.consume_state_reset()) {
-          // Crash recovery with lost memory: restart the own rows from
-          // the initial guess, locally and on the board (so the verified
-          // stop sees the reset state). Neighbors keep their last
-          // received values until the next publish.
-          for (const index_t i : blk.rows) {
-            x_local[i] = x0[i];
-            x_board.write(i, x0[i]);
-          }
-        }
+        if constexpr (Metrics::enabled) metrics.sync_faults(faults.schedule());
       }
       if constexpr (!Sync) {
         // Asynchronous ghost refresh. Inside a stale window the drains
@@ -537,41 +322,39 @@ MeshResult solve_mesh_impl(const CsrMatrix& a, const Vector& b,
         if (!frozen) drain(opts.record_trace);
       }
 
-      // Step 1: stage every owned row from the local view (Jacobi
-      // discipline: all stages read the pre-commit state) and publish
-      // the staged residuals to the r board for the termination norm.
+      // Step 1: stage every owned row's residual from the local view in
+      // CSR entry order (bitwise solve_shared's reference kernel; Jacobi
+      // discipline: all stages read the pre-commit state) and publish it
+      // to the r board for the termination norm.
+      for (index_t k = 0; k < own_rows; ++k) {
+        const auto ks = static_cast<std::size_t>(k);
+        const index_t i = blk.rows[ks];
+        const auto [cols, vals] = a.row(i);
+        double acc = b[i];
+        for (std::size_t p = 0; p < cols.size(); ++p) {
+          acc -= vals[p] * x_local[cols[p]];
+        }
+        staged[ks] = acc;
+        r_board.write(i, acc);
+      }
       if (opts.record_trace) {
-        for (index_t k = 0; k < own_rows; ++k) {
-          const index_t i = blk.rows[static_cast<std::size_t>(k)];
+        // Every stage read each off-diagonal column at its current version.
+        for (const index_t i : blk.rows) {
           model::RelaxationEvent event;
           event.row = i;
-          event.reads.reserve(a.row_cols(i).size());
-          staged[static_cast<std::size_t>(k)] =
-              proc.stage(i, [&](index_t j) {
-                if (j != i) {
-                  event.reads.push_back(
-                      {j, versions[static_cast<std::size_t>(j)]});
-                }
-                return x_local[j];
-              });
-          r_board.write(i, staged[static_cast<std::size_t>(k)]);
+          for (const index_t j : a.row_cols(i)) {
+            if (j != i) event.reads.push_back({j, versions[j]});
+          }
           my_events.push_back(std::move(event));
-        }
-      } else {
-        for (index_t k = 0; k < own_rows; ++k) {
-          const index_t i = blk.rows[static_cast<std::size_t>(k)];
-          staged[static_cast<std::size_t>(k)] =
-              proc.stage(i, [&](index_t j) { return x_local[j]; });
-          r_board.write(i, staged[static_cast<std::size_t>(k)]);
         }
       }
 
       // Step 2: commit the staged updates, mirror them to the x board,
       // and ship the new boundary values.
       for (index_t k = 0; k < own_rows; ++k) {
-        const index_t i = blk.rows[static_cast<std::size_t>(k)];
-        x_local[i] =
-            proc.apply(i, x_local[i], staged[static_cast<std::size_t>(k)]);
+        const auto ks = static_cast<std::size_t>(k);
+        const index_t i = blk.rows[ks];
+        x_local[i] = x_local[i] + inv_diag[i] * staged[ks];
         x_board.write(i, x_local[i]);
       }
       if (opts.record_trace) {
@@ -590,10 +373,7 @@ MeshResult solve_mesh_impl(const CsrMatrix& a, const Vector& b,
       }
 
       ++iter;
-      // racy-ok(monotonic): published for the verification gate; it only
-      // needs an eventually-fresh lower bound.
-      iter_counts[static_cast<std::size_t>(t)].store(
-          iter, std::memory_order_relaxed);
+      board.count(ts, iter);
 
       // Step 3: convergence check — racy 1-norm of the whole residual
       // board in natural row order (bitwise solve_shared's scan).
@@ -603,20 +383,11 @@ MeshResult solve_mesh_impl(const CsrMatrix& a, const Vector& b,
       if (opts.record_history) {
         my_history.push_back({timer.seconds(), t, iter, rel});
       }
-      const bool my_done =
-          (opts.tolerance > 0.0 && rel <= opts.tolerance) ||
-          iter >= opts.max_iterations;
-      // racy-ok(flag): the paper's termination flags rest on racy
-      // residual reads by design; the verification gate re-checks.
-      flags[static_cast<std::size_t>(t)].store(my_done ? 1 : 0,
-                                               std::memory_order_relaxed);
-      if constexpr (Metrics::enabled) metrics.flag_update(my_done);
+      const bool my_done = board.flag(ts, 0, rel, iter);
+      if constexpr (Metrics::enabled) metrics.flag_update(my_done, iter);
 
       if constexpr (Sync) gate->arrive_and_wait();
-      int done_count = 0;
-      // racy-ok(flag): hint scan; a stale flag only defers verification.
-      for (auto& f : flags) done_count += f.load(std::memory_order_relaxed);
-      if (done_count == static_cast<int>(na)) verify_and_maybe_stop();
+      board.poll(iter, metrics);
       if constexpr (Sync) {
         // Keep lockstep: every agent passes the same number of barriers
         // and sees the verified stop decision together.
@@ -624,20 +395,17 @@ MeshResult solve_mesh_impl(const CsrMatrix& a, const Vector& b,
       }
       if constexpr (Metrics::enabled) metrics.iteration_end(iter - 1, own_rows);
       if constexpr (!Sync) {
-        // racy-ok(stop): monotonic 0 -> 1, polled.
-        if (opts.yield && stop.load(std::memory_order_relaxed) == 0) {
-          sched_yield();
-        }
+        if (opts.yield && !board.stopped()) sched_yield();
       }
     }
 
-    result.iterations_per_agent[static_cast<std::size_t>(t)] = iter;
-    agent_totals[static_cast<std::size_t>(t)] = totals;
+    result.iterations_per_agent[ts] = iter;
+    agent_totals[ts] = totals;
+    if constexpr (Metrics::enabled) metrics.message_totals(totals);
     if constexpr (Faults::enabled) {
-      fault_logs[static_cast<std::size_t>(t)] = faults.take_log();
-    }
-    if constexpr (Metrics::enabled) {
-      metrics.fold_totals(totals, fault_logs[static_cast<std::size_t>(t)]);
+      // The last iteration's message faults are logged after its sync.
+      if constexpr (Metrics::enabled) metrics.sync_faults(faults.schedule());
+      fault_logs[ts] = faults.schedule().take_log();
     }
   };
 
@@ -645,7 +413,7 @@ MeshResult solve_mesh_impl(const CsrMatrix& a, const Vector& b,
   // unlike the OpenMP runtime no manual annotations are needed around the
   // parallel region.
   std::vector<std::thread> workers;
-  workers.reserve(static_cast<std::size_t>(na));
+  workers.reserve(na_sz);
   for (index_t t = 0; t < na; ++t) workers.emplace_back(agent_main, t);
   for (auto& w : workers) w.join();
 
@@ -653,36 +421,24 @@ MeshResult solve_mesh_impl(const CsrMatrix& a, const Vector& b,
   result.x.resize(static_cast<std::size_t>(n));
   x_board.snapshot(result.x);
 
-  // Independent serial verification of the final residual.
+  // Independent serial verification of the final residual and the bounded
+  // polish, both shared with solve_shared.
   Vector final_r(static_cast<std::size_t>(n));
   a.residual(result.x, b, final_r);
-  result.final_rel_residual_1 = vec::norm1(final_r) / r0_norm;
+  runtime::Verdict verdict = runtime::verify_and_polish(
+      a, inv_diag, Vector{vec::norm1(final_r)}, {&r0_norm, 1}, opts, na,
+      timer, [&](index_t /*c*/, auto&& f) {
+        f(std::span<double>(result.x), std::span<double>(final_r),
+          std::span<const double>(b));
+      });
+  result.converged = verdict.converged[0];
+  result.final_rel_residual_1 = verdict.final_rel_residual_1[0];
+  result.polish_sweeps = verdict.polish_sweeps[0];
 
-  // An agent descheduled mid-iteration may have committed a stale update
-  // after the verified stop; polish sequentially until the tolerance
-  // verifiably holds (bounded — the state is near the fixed point). Same
-  // cap formula as solve_shared so the two backends stay comparable.
-  if (opts.final_polish && opts.tolerance > 0.0 &&
-      result.final_rel_residual_1 > opts.tolerance) {
-    const index_t polish_cap = 20 * na + 200;
-    while (result.polish_sweeps < polish_cap &&
-           result.final_rel_residual_1 > opts.tolerance) {
-      for (index_t i = 0; i < n; ++i) {
-        result.x[i] += inv_diag[i] * final_r[i];
-      }
-      a.residual(result.x, b, final_r);
-      result.final_rel_residual_1 = vec::norm1(final_r) / r0_norm;
-      ++result.polish_sweeps;
-    }
-  }
-  result.converged =
-      opts.tolerance > 0.0 && result.final_rel_residual_1 <= opts.tolerance;
-
-  for (index_t t = 0; t < na; ++t) {
-    result.total_relaxations +=
-        result.iterations_per_agent[static_cast<std::size_t>(t)] *
-        static_cast<index_t>(topo.agents[static_cast<std::size_t>(t)].rows.size());
-    const AgentTotals& totals = agent_totals[static_cast<std::size_t>(t)];
+  for (std::size_t t = 0; t < na_sz; ++t) {
+    result.total_relaxations += result.iterations_per_agent[t] *
+                                static_cast<index_t>(topo.agents[t].rows.size());
+    const MessageTotals& totals = agent_totals[t];
     result.messages_sent += totals.sent;
     result.messages_received += totals.received;
     result.messages_dropped += totals.dropped;
@@ -690,52 +446,10 @@ MeshResult solve_mesh_impl(const CsrMatrix& a, const Vector& b,
     result.queue_full_drops += totals.queue_full;
   }
 
-  for (auto& h : histories) {
-    result.history.insert(result.history.end(), h.begin(), h.end());
-  }
-  std::sort(result.history.begin(), result.history.end(),
-            [](const MeshHistoryPoint& p1, const MeshHistoryPoint& p2) {
-              return p1.seconds < p2.seconds;
-            });
-
-  if (opts.record_trace) {
-    model::RelaxationTrace trace(n);
-    // Per-row order is preserved: disjoint row sets give every row a
-    // unique owner, and each agent appends its events in execution order.
-    for (const auto& events : agent_events) {
-      for (const auto& e : events) trace.add_event(e);
-    }
-    result.trace = std::move(trace);
-  }
-  if constexpr (Faults::enabled) {
-    for (auto& log : fault_logs) {
-      result.fault_events.insert(result.fault_events.end(), log.begin(),
-                                 log.end());
-    }
-    fault::canonicalize(result.fault_events);
-  }
+  result.history = runtime::merge_histories(histories);
+  if (opts.record_trace) result.trace = runtime::merge_traces(n, agent_events);
+  result.fault_events = fault::merge(fault_logs);
   return result;
-}
-
-template <bool Sync>
-MeshResult dispatch_hooks(const CsrMatrix& a, const Vector& b,
-                          const Vector& x0, const MeshOptions& opts,
-                          const MeshTopology& topo, const Vector& inv_diag,
-                          const fault::FaultPlan* plan) {
-  if (plan != nullptr && opts.metrics != nullptr) {
-    return solve_mesh_impl<Sync, ActiveMeshFaults, ActiveMeshMetrics>(
-        a, b, x0, opts, topo, inv_diag, plan);
-  }
-  if (plan != nullptr) {
-    return solve_mesh_impl<Sync, ActiveMeshFaults, NullMeshMetrics>(
-        a, b, x0, opts, topo, inv_diag, plan);
-  }
-  if (opts.metrics != nullptr) {
-    return solve_mesh_impl<Sync, NullMeshFaults, ActiveMeshMetrics>(
-        a, b, x0, opts, topo, inv_diag, nullptr);
-  }
-  return solve_mesh_impl<Sync, NullMeshFaults, NullMeshMetrics>(
-      a, b, x0, opts, topo, inv_diag, nullptr);
 }
 
 }  // namespace
@@ -766,20 +480,11 @@ MeshResult solve_mesh(const CsrMatrix& a, const Vector& b, const Vector& x0,
   AJAC_DBG_VALIDATE(validate::finite(b, "b"));
   AJAC_DBG_VALIDATE(validate::finite(x0, "x0"));
 
-  Vector inv_diag = a.diagonal();
-  for (index_t i = 0; i < n; ++i) {
-    AJAC_CHECK_MSG(inv_diag[i] != 0.0, "zero diagonal at row " << i);
-    inv_diag[i] = 1.0 / inv_diag[i];
-  }
+  const Vector inv_diag = solvers::inverse_diagonal(a);
 
   const fault::FaultPlan* plan =
-      opts.fault_plan && !opts.fault_plan->empty() ? opts.fault_plan.get()
-                                                   : nullptr;
+      runtime::begin_control_plane(opts, opts.num_agents, "agent", "mesh");
   if (plan != nullptr) {
-    AJAC_CHECK_MSG(!opts.synchronous,
-                   "fault injection targets the asynchronous mesh (the "
-                   "synchronous barriers serialize every fault away)");
-    plan->validate(opts.num_agents);
     AJAC_CHECK_MSG(plan->bit_flips.empty(),
                    "bit-flip injection instruments the shared-memory "
                    "kernels, not the mesh");
@@ -790,17 +495,16 @@ MeshResult solve_mesh(const CsrMatrix& a, const Vector& b, const Vector& x0,
     }
   }
 
-  obs::MetricsRegistry* metrics = opts.metrics;
-  if (metrics != nullptr) {
-    metrics->set_actor_kind("agent");
-    metrics->reset(opts.num_agents,
-                   static_cast<std::size_t>(opts.max_iterations) + 64);
-  }
-
-  if (opts.synchronous) {
-    return dispatch_hooks<true>(a, b, x0, opts, topo, inv_diag, plan);
-  }
-  return dispatch_hooks<false>(a, b, x0, opts, topo, inv_diag, plan);
+  return runtime::with_hooks<ActiveMeshFaults, NullMeshFaults>(
+      plan != nullptr, opts.metrics != nullptr,
+      [&]<class Faults, class Metrics>() {
+        if (opts.synchronous) {
+          return solve_mesh_impl<true, Faults, Metrics>(a, b, x0, opts, topo,
+                                                        inv_diag, plan);
+        }
+        return solve_mesh_impl<false, Faults, Metrics>(a, b, x0, opts, topo,
+                                                       inv_diag, plan);
+      });
 }
 
 }  // namespace ajac::mesh

@@ -98,20 +98,6 @@ struct BatchLane {
     mv::colwise_norm1(r, norms);
   }
 
-  static double fresh_residual(const CsrMatrix& a, const MultiVector& b,
-                               const SharedMultiVector& x, index_t c) {
-    double fresh = 0.0;
-    for (index_t i = 0; i < a.num_rows(); ++i) {
-      double acc = b(i, c);
-      const auto [cols, vals] = a.row(i);
-      for (std::size_t p = 0; p < cols.size(); ++p) {
-        acc -= vals[p] * x.read(cols[p], c);
-      }
-      fresh += std::abs(acc);
-    }
-    return fresh;
-  }
-
   /// Polish works on one extracted column; only columns that need polish
   /// are ever copied out.
   template <class F>
@@ -150,10 +136,10 @@ struct BatchLane {
     SharedBatchResult result;
     result.x = std::move(run.x);
     result.seconds = run.seconds;
-    result.converged = std::move(run.converged);
-    result.final_rel_residual_1 = std::move(run.final_rel_residual_1);
+    result.converged = std::move(run.verdict.converged);
+    result.final_rel_residual_1 = std::move(run.verdict.final_rel_residual_1);
     result.stop_iteration = std::move(run.stop_iteration);
-    result.polish_sweeps = std::move(run.polish_sweeps);
+    result.polish_sweeps = std::move(run.verdict.polish_sweeps);
     result.relaxations_per_column = std::move(run.relaxations_per_column);
     for (const index_t sum : result.relaxations_per_column) {
       result.total_relaxations += sum;

@@ -92,20 +92,6 @@ struct ScalarLane {
     norms[0] = vec::norm1(r);
   }
 
-  static double fresh_residual(const CsrMatrix& a, const Vector& b,
-                               const SharedVector& x, index_t /*c*/) {
-    double fresh = 0.0;
-    for (index_t i = 0; i < a.num_rows(); ++i) {
-      double acc = b[i];
-      const auto [cols, vals] = a.row(i);
-      for (std::size_t p = 0; p < cols.size(); ++p) {
-        acc -= vals[p] * x.read(cols[p]);
-      }
-      fresh += std::abs(acc);
-    }
-    return fresh;
-  }
-
   template <class F>
   static void with_column(Vector& x, Vector& r, const Vector& b,
                           index_t /*c*/, F&& f) {
@@ -131,30 +117,18 @@ struct ScalarLane {
     SharedResult result;
     result.x = std::move(run.x);
     result.seconds = run.seconds;
-    result.converged = run.converged[0];
-    result.final_rel_residual_1 = run.final_rel_residual_1[0];
-    result.polish_sweeps = run.polish_sweeps[0];
+    result.converged = run.verdict.converged[0];
+    result.final_rel_residual_1 = run.verdict.final_rel_residual_1[0];
+    result.polish_sweeps = run.verdict.polish_sweeps[0];
     result.iterations_per_thread = std::move(run.iterations_per_thread);
     for (index_t t = 0; t < s.opts.num_threads; ++t) {
       result.total_relaxations +=
           result.iterations_per_thread[static_cast<std::size_t>(t)] *
           s.part.part_size(t);
     }
-    for (auto& h : run.histories) {
-      result.history.insert(result.history.end(), h.begin(), h.end());
-    }
-    std::sort(result.history.begin(), result.history.end(),
-              [](const SharedHistoryPoint& p1, const SharedHistoryPoint& p2) {
-                return p1.seconds < p2.seconds;
-              });
+    result.history = merge_histories(run.histories);
     if (s.opts.record_trace) {
-      model::RelaxationTrace trace(s.a.num_rows());
-      // Per-row order is preserved because each row belongs to one thread
-      // and threads append their events in execution order.
-      for (const auto& events : run.events) {
-        for (const auto& e : events) trace.add_event(e);
-      }
-      result.trace = std::move(trace);
+      result.trace = merge_traces(s.a.num_rows(), run.events);
     }
     result.fault_events = std::move(run.fault_events);
     return result;

@@ -4,14 +4,15 @@
 // and solve_shared_batch on the batch lane (shared_batch.cpp); not
 // installed, like solve_hooks.hpp.
 //
-// This file owns the control plane: the prologue (entry checks, partition,
-// inv_diag, plan validation, metrics reset, BlockedCsr/SELL builds, the
-// stream's begin_run), the per-column termination protocol (per-(thread,
-// column) flags, verified stop, freeze mask, park at the iteration cap),
-// the sampled-policy weight refresh, the beacons, the serial verification
-// with polish, the fault-log merge, and the one Faults x Metrics x Stream x
-// kernel dispatch ladder. A single right-hand side is the k = 1 case of the
-// per-column protocol.
+// This file owns the shared-memory side of the control plane: the
+// prologue (entry checks, partition, inv_diag, plan validation, metrics
+// reset, BlockedCsr/SELL builds, the stream's begin_run), the loop around
+// the termination board (freeze mask, park at the iteration cap), the
+// sampled-policy weight refresh, the beacons, the fault-log merge, and the
+// one Faults x Metrics x Stream x kernel dispatch ladder. The board, the
+// metrics recorders and the serial verification with polish are the ones
+// solve_mesh runs too (ajac/runtime/control_plane.hpp). A single
+// right-hand side is the k = 1 case of the per-column protocol.
 //
 // A lane policy supplies everything whose shape depends on the vector type:
 //   Dense / Shared / Result   Vector, SharedVector, SharedResult (scalar) or
@@ -23,7 +24,6 @@
 //   snapshot                  the final iterate copied out of the shared x;
 //   residual                  b - A x and its per-column 1-norms (initial
 //                             residual and the serial verification);
-//   fresh_residual            the verified stop's scan of one column;
 //   with_column               hands polish one column as plain vectors;
 //   beacon / beacon_scale     the streamed residual value and its scale;
 //   count_lanes               the batch occupancy metrics (no-op on scalar);
@@ -57,7 +57,6 @@
 #include <sched.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <optional>
@@ -70,6 +69,7 @@
 #include "ajac/obs/metrics.hpp"
 #include "ajac/obs/stream.hpp"
 #include "ajac/partition/partition.hpp"
+#include "ajac/runtime/control_plane.hpp"
 #include "ajac/runtime/row_policy.hpp"
 #include "ajac/runtime/shared_jacobi.hpp"
 #include "ajac/runtime/shared_vector.hpp"
@@ -77,7 +77,7 @@
 #include "ajac/sparse/csr.hpp"
 #include "ajac/sparse/sell_csr.hpp"
 #include "ajac/sparse/validate.hpp"
-#include "ajac/sparse/vector_ops.hpp"
+#include "ajac/solvers/stationary.hpp"
 #include "ajac/util/annotate.hpp"
 #include "ajac/util/check.hpp"
 #include "ajac/util/timer.hpp"
@@ -106,9 +106,7 @@ template <class Dense>
 struct RunRecord {
   Dense x;
   double seconds = 0.0;
-  std::vector<bool> converged;
-  Vector final_rel_residual_1;
-  std::vector<index_t> polish_sweeps;
+  Verdict verdict;  ///< serial verification + polish, per column
   std::vector<index_t> stop_iteration;  ///< verified-stop iteration
   /// Row relaxations while the column was still converging.
   std::vector<index_t> relaxations_per_column;
@@ -149,21 +147,12 @@ typename Lane::Result solve_impl(const Setup<Lane>& s) {
     opts.stream->set_residual_scale(Lane::beacon_scale(r0_norm));
   }
 
-  // flags[t * k + c]: thread t's stopping criterion for column c.
-  std::vector<std::atomic<int>> flags(nt * k_sz);
-  // racy-ok(init): single-threaded setup; the OpenMP fork publishes it.
-  for (auto& f : flags) f.store(0, std::memory_order_relaxed);
-  std::vector<std::atomic<int>> col_stopped(k_sz);
-  // racy-ok(init): single-threaded setup; the OpenMP fork publishes it.
-  for (auto& c : col_stopped) c.store(0, std::memory_order_relaxed);
-  std::vector<std::atomic<index_t>> iter_counts(nt);
-  // racy-ok(init): single-threaded setup; the OpenMP fork publishes it.
-  for (auto& c : iter_counts) c.store(0, std::memory_order_relaxed);
-  std::atomic<int> stop{0};
+  TerminationBoard<typename Lane::Dense, typename Lane::Shared> board(
+      a, s.b, x, r0_norm, opts.num_threads, opts.max_iterations,
+      opts.tolerance);
 
   RunRecord<typename Lane::Dense> run;
   run.iterations_per_thread.assign(nt, 0);
-  run.stop_iteration.assign(k_sz, 0);
   run.histories.resize(nt);
   run.events.resize(nt);
   std::vector<std::vector<index_t>> col_relax(nt);
@@ -234,72 +223,11 @@ typename Lane::Result solve_impl(const Setup<Lane>& s) {
       if (sampled) pick_counts.assign(static_cast<std::size_t>(rows), 0);
     }
 
-    // Verification gate: the flags rest on racy reads of the shared
-    // residual, which can be arbitrarily stale when threads are
-    // oversubscribed on few cores. Before a column actually stops,
-    // recompute a fresh residual of it from the current shared x (or check
-    // the true iteration counters).
-    auto verify_column = [&](index_t c, index_t it) {
-      bool all_at_max = true;
-      for (auto& cnt : iter_counts) {
-        // racy-ok(monotonic): counters only grow; a stale read can only
-        // delay the stop decision, never produce a premature one.
-        if (cnt.load(std::memory_order_relaxed) < opts.max_iterations) {
-          all_at_max = false;
-          break;
-        }
-      }
-      const auto cs = static_cast<std::size_t>(c);
-      const bool tol_met =
-          !all_at_max && opts.tolerance > 0.0 &&
-          Lane::fresh_residual(a, s.b, x, c) / r0_norm[cs] <= opts.tolerance;
-      // racy-ok(monotonic): 0 -> 1 latch; the exchange only elects the
-      // single writer of stop_iteration (read after the join).
-      if ((all_at_max || tol_met) &&
-          col_stopped[cs].exchange(1, std::memory_order_relaxed) == 0) {
-        run.stop_iteration[cs] = it;
-      }
-    };
-
-    // Stop poll: verify any live column whose every per-thread flag is up,
-    // then broadcast the global stop once all columns are stopped.
-    auto poll_column_stops = [&](index_t it) {
-      index_t stopped = 0;
-      for (index_t c = 0; c < k; ++c) {
-        const auto cs = static_cast<std::size_t>(c);
-        // racy-ok(monotonic): 0 -> 1 latch; stale reads only defer work.
-        if (col_stopped[cs].load(std::memory_order_relaxed) == 0) {
-          int done_count = 0;
-          for (std::size_t tt = 0; tt < nt; ++tt) {
-            // racy-ok(flag): flag hints; verify_column re-checks for real.
-            done_count += flags[tt * k_sz + cs].load(std::memory_order_relaxed);
-          }
-          if (done_count == static_cast<int>(nt)) verify_column(c, it);
-        }
-        // racy-ok(monotonic): 0 -> 1 latch, polled.
-        stopped += col_stopped[cs].load(std::memory_order_relaxed) != 0;
-      }
-      // racy-ok(stop): 0 -> 1 broadcast; the exchange elects the single
-      // recorder of the stop event, results are read after the join.
-      if (stopped == k && stop.exchange(1, std::memory_order_relaxed) == 0) {
-        if constexpr (Metrics::enabled) metrics.stop_decided();
-      }
-    };
-
     index_t iter = 0;
     [[maybe_unused]] double beacon = 0.0;
-    // racy-ok(stop): stop only transitions 0 -> 1; a stale read costs one
-    // extra polling pass, nothing more.
-    while (stop.load(std::memory_order_relaxed) == 0) {
-      if (iter >= opts.max_iterations) {
-        // Parked at the iteration cap. Relaxing further would make the
-        // executed (thread, iteration) set — and with it the fault log and
-        // relaxation totals — depend on how long the slower threads take
-        // to flag, i.e. on scheduler timing. This thread's flags went up
-        // when iter reached the cap, so just keep polling the others and
-        // re-verifying until every column stops.
-        poll_column_stops(iter);
-        sched_yield();
+    while (!board.stopped()) {
+      if (board.at_cap(iter)) {
+        board.park(iter, metrics);
         continue;
       }
       if constexpr (Metrics::enabled) metrics.iteration_begin();
@@ -312,19 +240,16 @@ typename Lane::Result solve_impl(const Setup<Lane>& s) {
         // A crash recovery with state reset rewrote the shared x on the own
         // rows behind the mirror; reload it before any kernel reads it.
         if (faults.consume_state_reset()) lane.refresh_own();
+        if constexpr (Metrics::enabled) metrics.sync_faults(faults.schedule());
       }
-      if constexpr (Metrics::enabled) metrics.sync_faults(faults);
 
-      // Refresh the freeze mask. col_stopped only ever goes 0 -> 1, so a
-      // racy read is safe: once a thread observes a column stopped it stays
-      // stopped. In synchronous mode the stores happen before the previous
-      // iteration's closing barrier, so all threads flip the mask together
-      // — the alignment the bitwise contract needs.
+      // Refresh the freeze mask. A column stop only ever goes 0 -> 1, so
+      // once a thread observes a column stopped it stays stopped; in
+      // synchronous mode all threads flip the mask together — the
+      // alignment the bitwise contract needs.
       index_t active_cols = 0;
       for (std::size_t c = 0; c < k_sz; ++c) {
-        // racy-ok(monotonic): 0 -> 1 latch; observing the stop late keeps
-        // the lane riding (and republishing identical bits) one more pass.
-        const bool on = col_stopped[c].load(std::memory_order_relaxed) == 0;
+        const bool on = board.column_live(c);
         active[c] = on ? 1.0 : 0.0;
         active_cols += on ? 1 : 0;
       }
@@ -387,9 +312,7 @@ typename Lane::Result solve_impl(const Setup<Lane>& s) {
       // sampled policies already committed in place per draw.
       if (!sampled) lane.commit(active);
       ++iter;
-      // racy-ok(monotonic): published for the verification gate; it only
-      // needs an eventually-fresh lower bound.
-      iter_counts[ts].store(iter, std::memory_order_relaxed);
+      board.count(ts, iter);
       for (std::size_t c = 0; c < k_sz; ++c) {
         if (active[c] != 0.0) my_col_relax[c] += rows;
       }
@@ -411,13 +334,7 @@ typename Lane::Result solve_impl(const Setup<Lane>& s) {
       bool my_all_done = true;
       for (std::size_t c = 0; c < k_sz; ++c) {
         if (active[c] == 0.0) continue;
-        const double rel = norms[c] / r0_norm[c];
-        const bool my_done = (opts.tolerance > 0.0 && rel <= opts.tolerance) ||
-                             iter >= opts.max_iterations;
-        // racy-ok(flag): the paper's termination flags rest on racy
-        // residual reads by design; verify_column re-checks before a
-        // column actually stops.
-        flags[ts * k_sz + c].store(my_done ? 1 : 0, std::memory_order_relaxed);
+        const bool my_done = board.flag(ts, c, norms[c] / r0_norm[c], iter);
         my_all_done = my_all_done && my_done;
       }
       if constexpr (Metrics::enabled) {
@@ -427,7 +344,7 @@ typename Lane::Result solve_impl(const Setup<Lane>& s) {
       if (opts.synchronous) {
 #pragma omp barrier
       }
-      poll_column_stops(iter);
+      board.poll(iter, metrics);
       if (opts.synchronous) {
         // Keep lockstep: every thread must pass the same number of
         // barriers, and all see the verified stop decisions together.
@@ -442,10 +359,7 @@ typename Lane::Result solve_impl(const Setup<Lane>& s) {
                                  : 0);
         }
       }
-      // racy-ok(stop): monotonic 0 -> 1, polled.
-      if (opts.yield && stop.load(std::memory_order_relaxed) == 0) {
-        sched_yield();
-      }
+      if (opts.yield && !board.stopped()) sched_yield();
     }
     if constexpr (Stream::enabled) {
       // Terminal beacon: the monitor always sees this thread's final state
@@ -459,7 +373,11 @@ typename Lane::Result solve_impl(const Setup<Lane>& s) {
     if constexpr (Metrics::enabled) {
       if (sampled) metrics.policy_counts(pick_counts);
     }
-    if constexpr (Faults::enabled) fault_logs[ts] = faults.take_log();
+    if constexpr (Faults::enabled) {
+      // The last iteration's bit flips are logged after its sync point.
+      if constexpr (Metrics::enabled) metrics.sync_faults(faults.schedule());
+      fault_logs[ts] = faults.schedule().take_log();
+    }
     AJAC_TSAN_RELEASE(&run);
   }
   AJAC_TSAN_ACQUIRE(&run);
@@ -470,54 +388,14 @@ typename Lane::Result solve_impl(const Setup<Lane>& s) {
   // Independent serial verification of every column's final residual: one
   // pass over all k columns (column c bitwise the single-RHS residual).
   typename Lane::Dense final_r = Lane::make_dense(n, k);
-  run.final_rel_residual_1.assign(k_sz, 0.0);
-  Lane::residual(a, run.x, s.b, final_r, run.final_rel_residual_1);
-  run.polish_sweeps.assign(k_sz, 0);
-  run.converged.assign(k_sz, false);
-  [[maybe_unused]] double polish_t0_us = 0.0;
-  if constexpr (Metrics::enabled) polish_t0_us = timer.seconds() * 1e6;
-  index_t total_polish = 0;
-  for (std::size_t c = 0; c < k_sz; ++c) {
-    double& rel = run.final_rel_residual_1[c];
-    rel /= r0_norm[c];
-    // A thread descheduled mid-iteration may have committed a stale update
-    // after the verified stop; polish sequentially until the tolerance
-    // verifiably holds (bounded — the state is near the fixed point).
-    if (opts.final_polish && opts.tolerance > 0.0 && rel > opts.tolerance) {
-      const index_t polish_cap = 20 * opts.num_threads + 200;
-      index_t& sweeps = run.polish_sweeps[c];
-      Lane::with_column(
-          run.x, final_r, s.b, static_cast<index_t>(c),
-          [&](std::span<double> xc, std::span<double> rc,
-              std::span<const double> bc) {
-            while (sweeps < polish_cap && rel > opts.tolerance) {
-              for (index_t i = 0; i < n; ++i) {
-                const auto is = static_cast<std::size_t>(i);
-                xc[is] += s.inv_diag[is] * rc[is];
-              }
-              a.residual(xc, bc, rc);
-              rel = vec::norm1(rc) / r0_norm[c];
-              ++sweeps;
-            }
-          });
-      total_polish += sweeps;
-    }
-    run.converged[c] = opts.tolerance > 0.0 && rel <= opts.tolerance;
-  }
-  if constexpr (Metrics::enabled) {
-    obs::ActorSlot& slot0 = opts.metrics->actor(0);
-    // Post-join epilogue: the workers are gone, this thread owns slot 0.
-    slot0.owner.assert_held();
-    if (total_polish > 0) {
-      slot0.add(obs::Counter::kPolishSweeps,
-                static_cast<std::uint64_t>(total_polish));
-      slot0.span(obs::TraceKind::kPolish, polish_t0_us, timer.seconds() * 1e6,
-                 total_polish);
-    }
-    // The whole solve (parallel phase + serial verification + polish) as
-    // one span on actor 0's lane.
-    slot0.span(obs::TraceKind::kSolve, 0.0, timer.seconds() * 1e6);
-  }
+  Vector final_norms(k_sz, 0.0);
+  Lane::residual(a, run.x, s.b, final_r, final_norms);
+  run.verdict = verify_and_polish(
+      a, s.inv_diag, std::move(final_norms), r0_norm, opts, opts.num_threads,
+      timer, [&](index_t c, auto&& f) {
+        Lane::with_column(run.x, final_r, s.b, c, f);
+      });
+  run.stop_iteration = board.take_stop_iterations();
 
   run.relaxations_per_column.assign(k_sz, 0);
   for (const auto& per_thread : col_relax) {
@@ -525,46 +403,30 @@ typename Lane::Result solve_impl(const Setup<Lane>& s) {
       run.relaxations_per_column[c] += per_thread[c];
     }
   }
-  if constexpr (Faults::enabled) {
-    for (auto& log : fault_logs) {
-      run.fault_events.insert(run.fault_events.end(), log.begin(), log.end());
-    }
-    fault::canonicalize(run.fault_events);
-  }
+  run.fault_events = fault::merge(fault_logs);
   return Lane::make_result(std::move(run), s);
 }
 
-/// The one dispatch ladder: faults, metrics, and telemetry each compile to
-/// no-ops when off, so the common (no plan, no registry, no hub) path is
-/// exactly the plain solver; the kernel choice folds into the compile-time
-/// Blocked flag.
-template <class Lane, class Faults, class Metrics, class Stream>
-typename Lane::Result dispatch_kernel(const Setup<Lane>& s) {
-  if (s.blocked != nullptr) {
-    return solve_impl<Lane, Faults, Metrics, Stream, true>(s);
-  }
-  return solve_impl<Lane, Faults, Metrics, Stream, false>(s);
-}
-
-template <class Lane, class Faults, class Metrics>
-typename Lane::Result dispatch_stream(const Setup<Lane>& s) {
-  if (s.opts.stream != nullptr) {
-    return dispatch_kernel<Lane, Faults, Metrics, ActiveStream>(s);
-  }
-  return dispatch_kernel<Lane, Faults, Metrics, NullStream>(s);
-}
-
+/// The one dispatch ladder: faults and metrics through with_hooks (the pair
+/// solve_mesh dispatches too), then telemetry and the kernel. Each hook
+/// compiles to no-ops when off, so the common (no plan, no registry, no
+/// hub) path is exactly the plain solver; the kernel choice folds into the
+/// compile-time Blocked flag.
 template <class Lane>
 typename Lane::Result dispatch(const Setup<Lane>& s) {
   using Active = ActiveFaults<typename Lane::Shared, typename Lane::Dense>;
-  if (s.plan != nullptr && s.opts.metrics != nullptr) {
-    return dispatch_stream<Lane, Active, ActiveMetrics>(s);
-  }
-  if (s.plan != nullptr) return dispatch_stream<Lane, Active, NullMetrics>(s);
-  if (s.opts.metrics != nullptr) {
-    return dispatch_stream<Lane, NullFaults, ActiveMetrics>(s);
-  }
-  return dispatch_stream<Lane, NullFaults, NullMetrics>(s);
+  return with_hooks<Active, NullFaults>(
+      s.plan != nullptr, s.opts.metrics != nullptr,
+      [&]<class Faults, class Metrics>() {
+        const bool blocked = s.blocked != nullptr;
+        if (s.opts.stream != nullptr) {
+          return blocked
+                     ? solve_impl<Lane, Faults, Metrics, ActiveStream, true>(s)
+                     : solve_impl<Lane, Faults, Metrics, ActiveStream, false>(s);
+        }
+        return blocked ? solve_impl<Lane, Faults, Metrics, NullStream, true>(s)
+                       : solve_impl<Lane, Faults, Metrics, NullStream, false>(s);
+      });
 }
 
 /// The prologue both public calls share: entry checks, partition, inv_diag,
@@ -605,34 +467,15 @@ typename Lane::Result solve(const CsrMatrix& a, const typename Lane::Dense& b,
   AJAC_DBG_VALIDATE(validate::finite(Lane::values(b), "b"));
   AJAC_DBG_VALIDATE(validate::finite(Lane::values(x0), "x0"));
 
-  Vector inv_diag = a.diagonal();
-  for (index_t i = 0; i < n; ++i) {
-    AJAC_CHECK_MSG(inv_diag[i] != 0.0, "zero diagonal at row " << i);
-    inv_diag[i] = 1.0 / inv_diag[i];
-  }
+  const Vector inv_diag = solvers::inverse_diagonal(a);
 
   const bool sellcs = opts.kernel == KernelKind::kSellCS;
   const fault::FaultPlan* plan =
-      opts.fault_plan && !opts.fault_plan->empty() ? opts.fault_plan.get()
-                                                   : nullptr;
-  if (plan != nullptr) {
-    AJAC_CHECK_MSG(!opts.synchronous,
-                   "fault injection targets the asynchronous runtime (the "
-                   "synchronous barriers serialize every fault away)");
-    AJAC_CHECK_MSG(!sellcs,
-                   "fault injection is defined per shared read; the kSellCS "
-                   "buffered data plane amortizes those reads away (use "
-                   "kBlocked)");
-    plan->validate(opts.num_threads);
-  }
-
-  if (opts.metrics != nullptr) {
-    opts.metrics->set_actor_kind("thread");
-    // Hint: one iteration span per local iteration plus a handful of
-    // instants; reserving here keeps the timed loop reallocation-free.
-    opts.metrics->reset(opts.num_threads,
-                        static_cast<std::size_t>(opts.max_iterations) + 64);
-  }
+      begin_control_plane(opts, opts.num_threads, "thread", "runtime");
+  AJAC_CHECK_MSG(plan == nullptr || !sellcs,
+                 "fault injection is defined per shared read; the kSellCS "
+                 "buffered data plane amortizes those reads away (use "
+                 "kBlocked)");
 
   // The blocked layout is built once per solve, before the threads start
   // (its constructor runs its own first-touch parallel fill). Construction

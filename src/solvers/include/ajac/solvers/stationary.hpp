@@ -12,6 +12,10 @@ class CsrMatrix;
 
 namespace ajac::solvers {
 
+/// D^{-1} as a vector (1 / a_ii), the Jacobi correction every driver
+/// applies; AJAC_CHECK-fails with "zero diagonal at row i" on a zero a_ii.
+[[nodiscard]] Vector inverse_diagonal(const CsrMatrix& a);
+
 /// Synchronous Jacobi in residual-correction form, exactly the paper's
 /// implementation skeleton (Sec. V): r = b - A x; x = x + D^{-1} r.
 [[nodiscard]] SolveResult jacobi(const CsrMatrix& a, const Vector& b,

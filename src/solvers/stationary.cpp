@@ -25,15 +25,6 @@ double residual_norm(std::span<const double> r, ResidualNorm which) {
   return 0.0;
 }
 
-Vector inverse_diagonal(const CsrMatrix& a) {
-  Vector d = a.diagonal();
-  for (std::size_t i = 0; i < d.size(); ++i) {
-    AJAC_CHECK_MSG(d[i] != 0.0, "zero diagonal at row " << i);
-    d[i] = 1.0 / d[i];
-  }
-  return d;
-}
-
 /// Shared driver: `sweep` mutates x in place once per iteration; the
 /// residual is recomputed afterwards for the history (matching the paper's
 /// compute-residual / correct / check structure).
@@ -101,6 +92,15 @@ SolveResult iterate(const CsrMatrix& a, const Vector& b, const Vector& x0,
 }
 
 }  // namespace
+
+Vector inverse_diagonal(const CsrMatrix& a) {
+  Vector d = a.diagonal();
+  for (std::size_t i = 0; i < d.size(); ++i) {
+    AJAC_CHECK_MSG(d[i] != 0.0, "zero diagonal at row " << i);
+    d[i] = 1.0 / d[i];
+  }
+  return d;
+}
 
 SolveResult jacobi(const CsrMatrix& a, const Vector& b, const Vector& x0,
                    const SolveOptions& opts) {

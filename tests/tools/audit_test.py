@@ -104,7 +104,8 @@ def test_fixture_dir_is_skipped_in_walks() -> None:
 
 def test_seeded_regression() -> None:
     """Delete one racy-ok tag from a real file: the auditor must notice."""
-    victim = REPO_ROOT / "src" / "runtime" / "shared_worker.hpp"
+    rel = "src/runtime/include/ajac/runtime/control_plane.hpp"
+    victim = REPO_ROOT / rel
     text = victim.read_text()
     tagged = [ln for ln in text.split("\n") if re.search(r"racy-ok\(", ln)]
     if not tagged:
@@ -116,10 +117,10 @@ def test_seeded_regression() -> None:
         fail("failed to strip the seeded racy-ok line")
         return
     with tempfile.TemporaryDirectory() as tmp:
-        mutant = Path(tmp) / "shared_worker_mutant.hpp"
+        mutant = Path(tmp) / "control_plane_mutant.hpp"
         # Keep the original path scoping so path-scoped rules see the file
         # as the runtime TU it is a copy of.
-        mutant.write_text("// audit-as: src/runtime/shared_worker.hpp\n" + mutated)
+        mutant.write_text(f"// audit-as: {rel}\n" + mutated)
         rc, findings = audit_json(str(mutant))
         rules = {f["rule"] for f in findings}
         if rc != 1 or "racy-ok-tag" not in rules:
@@ -127,8 +128,8 @@ def test_seeded_regression() -> None:
 
         # Control: the unmutated copy must stay clean, proving the finding
         # above comes from the deletion, not from the copy mechanics.
-        control = Path(tmp) / "shared_worker_control.hpp"
-        control.write_text("// audit-as: src/runtime/shared_worker.hpp\n" + text)
+        control = Path(tmp) / "control_plane_control.hpp"
+        control.write_text(f"// audit-as: {rel}\n" + text)
         rc, findings = audit_json(str(control))
         if rc != 0 or findings:
             fail(f"control copy not clean: {findings[:3]}")
