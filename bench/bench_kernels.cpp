@@ -154,13 +154,10 @@ BENCHMARK(BM_TraceAnalysis)->Arg(68)->Arg(272);
 
 // Fixed-length asynchronous solves on a grid(edge) FD Laplacian at the
 // machine's full OpenMP width (minimum 2, so the async interleaving is
-// real even on single-core hosts). Three variants:
-//   BM_SolveSharedAsync         reference kernels, no registry
-//   BM_SolveSharedAsyncMetrics  reference kernels, live MetricsRegistry
+// real even on single-core hosts), on the default blocked kernels:
+//   BM_SolveSharedAsync         no registry
+//   BM_SolveSharedAsyncMetrics  live MetricsRegistry
 //     (the pair is CI's observability overhead gate, <= 5%)
-//   BM_SolveSharedBlocked       partition-aware blocked kernels
-//     (vs BM_SolveSharedAsync at 256: CI's kernel speedup gate,
-//      tools/check_kernel_speedup.py asserts Blocked >= Reference)
 runtime::SharedOptions solve_opts(runtime::KernelKind kernel) {
   runtime::SharedOptions o;
   o.num_threads =
@@ -176,8 +173,7 @@ runtime::SharedOptions solve_opts(runtime::KernelKind kernel) {
 
 void BM_SolveSharedAsync(benchmark::State& state) {
   const auto p = gen::make_problem("fd", grid(state.range(0)), 1);
-  const runtime::SharedOptions o =
-      solve_opts(runtime::KernelKind::kReference);
+  const runtime::SharedOptions o = solve_opts(runtime::KernelKind::kBlocked);
   for (auto _ : state) {
     const auto r = runtime::solve_shared(p.a, p.b, p.x0, o);
     benchmark::DoNotOptimize(r.total_relaxations);
@@ -188,7 +184,7 @@ BENCHMARK(BM_SolveSharedAsync)->Arg(32)->Arg(256)->UseRealTime();
 
 void BM_SolveSharedAsyncMetrics(benchmark::State& state) {
   const auto p = gen::make_problem("fd", grid(state.range(0)), 1);
-  runtime::SharedOptions o = solve_opts(runtime::KernelKind::kReference);
+  runtime::SharedOptions o = solve_opts(runtime::KernelKind::kBlocked);
   obs::MetricsRegistry reg;
   o.metrics = &reg;
   for (auto _ : state) {
@@ -205,7 +201,7 @@ BENCHMARK(BM_SolveSharedAsyncMetrics)->Arg(32)->UseRealTime();
 // gate (tools/check_metrics_overhead.py, <= 5%).
 void BM_SolveSharedAsyncStreaming(benchmark::State& state) {
   const auto p = gen::make_problem("fd", grid(state.range(0)), 1);
-  runtime::SharedOptions o = solve_opts(runtime::KernelKind::kReference);
+  runtime::SharedOptions o = solve_opts(runtime::KernelKind::kBlocked);
   obs::TelemetryOptions topts;
   topts.max_actors = o.num_threads;
   obs::TelemetryHub hub(topts);
@@ -222,21 +218,10 @@ void BM_SolveSharedAsyncStreaming(benchmark::State& state) {
 }
 BENCHMARK(BM_SolveSharedAsyncStreaming)->Arg(32)->UseRealTime();
 
-void BM_SolveSharedBlocked(benchmark::State& state) {
-  const auto p = gen::make_problem("fd", grid(state.range(0)), 1);
-  const runtime::SharedOptions o = solve_opts(runtime::KernelKind::kBlocked);
-  for (auto _ : state) {
-    const auto r = runtime::solve_shared(p.a, p.b, p.x0, o);
-    benchmark::DoNotOptimize(r.total_relaxations);
-  }
-  state.SetItemsProcessed(state.iterations() * 50 * p.a.num_rows());
-}
-BENCHMARK(BM_SolveSharedBlocked)->Arg(32)->Arg(256)->UseRealTime();
-
 // Bandwidth-engineered kernels (SELL-C-sigma interior + dense ghost
 // buffers). The micro sizes here are a smoke-level comparison point; the
 // large-n story this path exists for is measured by bench_scale, whose
-// report CI gates with tools/check_kernel_speedup.py --scale.
+// report CI gates with tools/check_kernel_speedup.py.
 void BM_SolveSharedSellCS(benchmark::State& state) {
   const auto p = gen::make_problem("fd", grid(state.range(0)), 1);
   const runtime::SharedOptions o = solve_opts(runtime::KernelKind::kSellCS);
@@ -336,8 +321,7 @@ void register_custom_solves(const std::string& label) {
     runtime::KernelKind kind;
   };
   static constexpr NamedKernel kKernels[] = {
-      {"BM_SolveSharedAsync", runtime::KernelKind::kReference},
-      {"BM_SolveSharedBlocked", runtime::KernelKind::kBlocked},
+      {"BM_SolveSharedAsync", runtime::KernelKind::kBlocked},
       {"BM_SolveSharedSellCS", runtime::KernelKind::kSellCS},
   };
   for (const NamedKernel& k : kKernels) {

@@ -5,8 +5,8 @@
 // For each problem (large 2D FD Laplacian, optionally 3D FD, a Matrix
 // Market import via --matrix, and a self-contained Matrix Market
 // round-trip that writes a generated grid with write_matrix_market and
-// benches the re-read copy) and each kernel configuration (reference,
-// blocked, sellcs, sellcs + fp32 ghosts), this runs fixed-sweep solves
+// benches the re-read copy) and each kernel configuration (blocked,
+// sellcs, sellcs + fp32 ghosts), this runs fixed-sweep solves
 // (tolerance 0, no polish — every variant does identical work) and
 // reports the median wall time, relaxation throughput, and effective
 // bandwidth from an explicit traffic model.
@@ -24,10 +24,9 @@
 // these sizes. The model is for comparing kernels on one host, not for
 // quoting absolute DRAM rates.
 //
-// CI gates the resulting table with tools/check_kernel_speedup.py --scale
-// (blocked >= reference and best-of-sellcs >= blocked at the largest FD
-// problem) and diffs it against BENCH_scale_baseline.json with
-// tools/compare_bench.py.
+// CI gates the resulting table with tools/check_kernel_speedup.py
+// (best-of-sellcs >= blocked at the largest FD problem) and diffs it
+// against BENCH_scale_baseline.json with tools/compare_bench.py.
 
 #include <algorithm>
 #include <cstdio>
@@ -51,8 +50,6 @@ struct KernelConfig {
 };
 
 constexpr KernelConfig kKernels[] = {
-    {"reference", runtime::KernelKind::kReference,
-     runtime::GhostPrecision::kFp64},
     {"blocked", runtime::KernelKind::kBlocked,
      runtime::GhostPrecision::kFp64},
     {"sellcs", runtime::KernelKind::kSellCS, runtime::GhostPrecision::kFp64},
@@ -182,8 +179,7 @@ int main(int argc, char** argv) {
       opts.record_history = false;
       opts.final_polish = false;
       opts.yield = true;  // fair interleaving on oversubscribed hosts
-      if (balance == "nnz" && k.kind != runtime::KernelKind::kReference &&
-          threads > 1) {
+      if (balance == "nnz" && threads > 1) {
         opts.partition = partition::nnz_balanced_partition(p.a, threads);
       }
 

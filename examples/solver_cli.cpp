@@ -80,10 +80,9 @@ Backend parse_backend(const std::string& name) {
 
 runtime::KernelKind parse_kernel(const std::string& name) {
   if (name == "blocked") return runtime::KernelKind::kBlocked;
-  if (name == "reference") return runtime::KernelKind::kReference;
   if (name == "sellcs") return runtime::KernelKind::kSellCS;
   throw std::invalid_argument("unknown kernel '" + name +
-                              "' (blocked | reference | sellcs)");
+                              "' (blocked | sellcs)");
 }
 
 bool parse_balance(const std::string& name) {
@@ -124,13 +123,13 @@ int main(int argc, char** argv) {
   cli.add_option("max-iterations", "1000000", "iteration cap");
   cli.add_option("seed", "1", "random seed (b, x0, partitioner, noise)");
   cli.add_option("kernel", "blocked",
-                 "shared backend kernels: blocked | reference | sellcs "
+                 "shared backend kernels: blocked | sellcs "
                  "(sellcs = SELL-C-sigma interior + dense ghost buffers, "
                  "for large problems)");
   cli.add_option("balance", "nnz",
                  "shared backend partition balance: nnz (contiguous blocks "
                  "equalized by nonzero count; default) | rows (equal row "
-                 "counts; reference kernel always uses rows)");
+                 "counts)");
   cli.add_option("ghost-precision", "fp64",
                  "sellcs kernel: precision of published ghost values, "
                  "fp64 | fp32 (residuals and termination stay fp64)");

@@ -29,11 +29,10 @@ runtime::SharedOptions shared_options(const CsrMatrix& a,
   opts.weight_refresh = config.weight_refresh;
   opts.policy_seed = config.seed;
   opts.stream = config.stream;
-  // nnz-balanced blocks for the partition-aware kernels (the facade
-  // default). The runtime's own default stays row-balanced, so direct
-  // SharedOptions users — and every recorded golden trace — are untouched.
-  if (config.balance_by_nnz && config.parallelism > 1 &&
-      config.shared_kernel != runtime::KernelKind::kReference) {
+  // nnz-balanced blocks (the facade default). The runtime's own default
+  // stays row-balanced, so direct SharedOptions users — and every recorded
+  // golden trace — are untouched.
+  if (config.balance_by_nnz && config.parallelism > 1) {
     opts.partition = partition::nnz_balanced_partition(a, config.parallelism);
   }
   return opts;

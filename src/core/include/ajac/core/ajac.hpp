@@ -51,18 +51,16 @@ struct SolveConfig {
   /// recommended; mirrors the paper's METIS step).
   bool partition_first = true;
   /// kSharedMemory: relaxation kernel family — the partition-aware blocked
-  /// kernels (default), the reference kernels that read every column
-  /// through the shared vector, or the bandwidth-engineered kSellCS path
-  /// for large problems (SELL-C-sigma interior, dense ghost buffers; see
+  /// kernels (default) or the bandwidth-engineered kSellCS path for large
+  /// problems (SELL-C-sigma interior, dense ghost buffers; see
   /// runtime::KernelKind).
   runtime::KernelKind shared_kernel = runtime::KernelKind::kBlocked;
-  /// kSharedMemory, blocked/kSellCS kernels: balance the contiguous row
-  /// partition by nonzero count instead of row count (default). On graded
-  /// meshes and Matrix Market imports row-balanced blocks can differ 2x+
-  /// in nnz, and the slowest block sets the convergence clock. Row
-  /// balancing remains available for reproducing older runs; an explicit
-  /// runtime partition always wins over this switch. The reference kernel
-  /// ignores it (its baselines are defined on row-balanced blocks).
+  /// kSharedMemory: balance the contiguous row partition by nonzero count
+  /// instead of row count (default). On graded meshes and Matrix Market
+  /// imports row-balanced blocks can differ 2x+ in nnz, and the slowest
+  /// block sets the convergence clock. Row balancing remains available for
+  /// reproducing older runs; an explicit runtime partition always wins
+  /// over this switch.
   bool balance_by_nnz = true;
   /// kSharedMemory with shared_kernel == kSellCS: precision at which
   /// committed iterates are published for neighbours' ghost reads

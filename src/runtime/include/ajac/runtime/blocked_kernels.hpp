@@ -9,20 +9,21 @@
 // by other threads — go through the SharedVector (and the fault injector,
 // which may serve frozen stale-window snapshots for exactly those columns).
 //
-// Bitwise contract with the reference kernels: every kernel accumulates a
+// Bitwise contract with the sequential solvers: every kernel accumulates a
 // row's residual in the row's original CSR entry order (BlockedCsr
-// preserves it), reads values that are bitwise those the reference path
-// would read from the same vector state, and commits in ascending row
-// order with the same `x + inv_diag * r` expression. Given identical read
-// values — guaranteed at num_threads=1 and in synchronous mode, where x is
-// stable throughout step 1 — blocked and reference solves are bitwise
-// identical. The kernel-equivalence suite (tests/runtime/kernel_equiv_*)
-// holds this line.
+// preserves it), reads values that are bitwise those a CSR walk over the
+// same vector state would read, and commits in ascending row order with
+// the `x + inv_diag * r` expression of solvers::jacobi. Given identical
+// read values — guaranteed at num_threads=1 and in synchronous mode, where
+// x is stable throughout step 1 — a blocked solve is bitwise sequential
+// Jacobi (Gauss-Seidel for the in-place sweep) and the 1-agent mesh. The
+// kernel-equivalence suite (tests/runtime/kernel_equiv_test.cpp) holds
+// this line.
 //
 // Faults template parameter: the per-thread injector of solve_hooks.hpp
 // (NullFaults compiles every hook away). Bit flips index entries by their
 // position within the row, which the blocked layout preserves, so the flip
-// decision and the corrupted entry match the reference path exactly.
+// decision and the corrupted entry match a CSR walk exactly.
 
 #include <cstddef>
 #include <span>
@@ -87,11 +88,11 @@ inline void refresh_own_block(const BlockedCsr::Block& blk,
 /// order; only loads are vectorizable, never the accumulation order.
 ///
 /// Each row's residual is published to the shared r as it is computed —
-/// the blocked kernels fuse away the reference path's separate publication
-/// pass. Reads of r are racy by contract (the paper's stopping scheme), so
-/// other threads observing a row's residual one pass earlier is legal; at
-/// one thread and in synchronous mode the values every consumer sees are
-/// unchanged, keeping the bitwise contract intact.
+/// no separate publication pass. Reads of r are racy by contract (the
+/// paper's stopping scheme), so other threads observing a row's residual
+/// one pass earlier is legal; at one thread and in synchronous mode the
+/// values every consumer sees are unchanged, keeping the bitwise contract
+/// intact.
 template <class Faults>
 inline void relax_interior(const BlockedCsr::Block& blk, const CsrMatrix& a,
                            std::span<const double> b,
@@ -161,8 +162,8 @@ inline void relax_boundary(const BlockedCsr::Block& blk, const CsrMatrix& a,
 }
 
 /// Commit the Jacobi correction on the block, ascending row order: the
-/// same `x_i + inv_diag_i * r_i` the reference step 2 evaluates (the
-/// mirror read replaces x.read — exact, single writer), then keep the
+/// `x_i + inv_diag_i * r_i` of solvers::jacobi (the mirror read replaces
+/// x.read — exact, single writer), then keep the
 /// mirror and its version count in sync with the shared write.
 inline void commit_block(const BlockedCsr::Block& blk, OwnBlockState& own,
                          SharedVector& x, const SharedVector& r)
@@ -281,8 +282,8 @@ inline void relax_row_sampled(const BlockedCsr::Block& blk, const CsrMatrix& a,
 /// In-place forward Gauss-Seidel sweep over the block: relax_row_sampled on
 /// every own row in ascending order (so interior/boundary fusion does not
 /// apply). Each row's update is visible to the following rows via the
-/// mirror and to other threads via x immediately, matching the reference
-/// sweep bitwise.
+/// mirror and to other threads via x immediately; at one thread this is
+/// solvers::gauss_seidel bitwise.
 template <class Faults>
 inline void relax_block_gs(const BlockedCsr::Block& blk, const CsrMatrix& a,
                            std::span<const double> b, OwnBlockState& own,

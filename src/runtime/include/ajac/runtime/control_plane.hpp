@@ -329,8 +329,8 @@ class ActiveMetrics {
   /// Blocked kernels only: how many matrix entries this iteration resolved
   /// from the thread-private mirror vs through the SharedVector. The counts
   /// are precomputed per block (local_nnz/ghost_nnz), so the hook costs two
-  /// counter adds per iteration, nothing per entry. The reference path
-  /// leaves both lanes at zero.
+  /// counter adds per iteration, nothing per entry. The mesh leaves both
+  /// at zero.
   void read_mix(index_t local_entries, index_t ghost_entries) {
     slot_->owner.assert_held();
     slot_->add(obs::Counter::kLocalReads,

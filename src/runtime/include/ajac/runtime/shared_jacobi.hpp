@@ -40,16 +40,17 @@ class TelemetryHub;
 
 namespace ajac::runtime {
 
-/// Which relaxation kernels the solve dispatches to.
+/// Which relaxation kernels the solve dispatches to. Both accumulate each
+/// row in its CSR entry order and commit `x + inv_diag * r`, the
+/// expressions of solvers::jacobi: with fp64 ghosts, a synchronous run, or
+/// an asynchronous one at one thread, is bitwise sequential Jacobi
+/// (tests/runtime/kernel_equiv_test, tests/integration/equivalence_test).
 enum class KernelKind {
-  /// Unsplit CSR rows, every column read through the SharedVector — the
-  /// paper's scheme verbatim; kept as the differential-testing oracle.
-  kReference,
   /// Partition-aware local/ghost split (sparse/blocked_csr.hpp): own-block
   /// columns come from a thread-private mirror, interior rows skip the
   /// shared vector entirely, only boundary-row ghost columns pay for
-  /// synchronized reads. Bitwise-equivalent to kReference whenever the two
-  /// would read the same values (num_threads=1, synchronous mode).
+  /// synchronized reads. The default, and the only data plane of the batch
+  /// path.
   kBlocked,
   /// Bandwidth-engineered large-n path (runtime/sell_kernels.hpp): interior
   /// rows relax through a SELL-C-sigma repack with int32 local column
@@ -148,9 +149,8 @@ struct SharedOptions {
   /// the telemetry layer. The hub must outlive the solve and be sized for
   /// num_threads actors (TelemetryOptions::max_actors).
   obs::TelemetryHub* stream = nullptr;
-  /// Relaxation kernels (see KernelKind). The blocked layer is the default;
-  /// kReference selects the original unsplit path (differential testing,
-  /// perf baselines).
+  /// Relaxation kernels (see KernelKind). The blocked layer is the
+  /// default; kSellCS selects the large-n bandwidth path.
   KernelKind kernel = KernelKind::kBlocked;
   /// Ghost publication precision (kSellCS only; see GhostPrecision).
   /// kFp32 requires kernel == kSellCS (checked).

@@ -155,7 +155,7 @@ struct BatchLane {
     return result;
   }
 
-  template <class Faults, class Metrics, bool Blocked>
+  template <class Faults, class Metrics>
   class Worker;
 };
 
@@ -163,28 +163,21 @@ struct BatchLane {
 /// k lanes of scratch each, sized before the loop so the hot path performs
 /// no allocation. Every method claims the sole-writer roles the partition
 /// gives this thread (claims, not locks).
-template <class Faults, class Metrics, bool Blocked>
+template <class Faults, class Metrics>
 class BatchLane::Worker {
  public:
   Worker(const Setup<BatchLane>& s, index_t t, SharedMultiVector& x,
          SharedMultiVector& r, Faults& faults, Metrics& /*metrics*/,
          std::vector<model::RelaxationEvent>& /*events*/)
-      : s_(s), k_(s.b.num_cols()), lo_(s.part.part_begin(t)),
-        hi_(s.part.part_end(t)), x_(x), r_(r), faults_(faults),
-        acc_(static_cast<std::size_t>(k_)), ghost_(acc_.size()),
-        rrow_(acc_.size()), xrow_(acc_.size()),
-        // Relax->commit carrier for the reference kernels (the blocked
-        // kernels publish residual rows inline instead).
-        local_r_(Blocked ? 0 : hi_ - lo_, k_) {
-    if constexpr (Blocked) {
-      blk_ = &s.blocked->block(t);
-      refresh_own();
-    }
+      : s_(s), blk_(s.blocked.block(t)), k_(s.b.num_cols()), x_(x), r_(r),
+        faults_(faults), acc_(static_cast<std::size_t>(k_)),
+        ghost_(acc_.size()), rrow_(acc_.size()), xrow_(acc_.size()) {
+    refresh_own();
   }
 
   void refresh_own() {
     own_.owner.assert_held();
-    if constexpr (Blocked) refresh_own_block_batch(*blk_, x_, own_);
+    refresh_own_block_batch(blk_, x_, own_);
   }
 
   /// Lane-max |true residual| of own row i from an x snapshot, bypassing
@@ -211,45 +204,24 @@ class BatchLane::Worker {
     own_.owner.assert_held();
     x_.writer_role().assert_held();
     r_.writer_role().assert_held();
-    if constexpr (Blocked) {
-      relax_row_sampled_batch(*blk_, s_.a, s_.b, own_, x_, faults_, r_,
-                              active, acc_, ghost_, i);
-    } else {
-      row_residual(i, acc_.data());
-      r_.write_row(i, acc_);
-      x_.read_row(i, xrow_);
-      commit_row(i, acc_.data(), active);
-    }
+    relax_row_sampled_batch(blk_, s_.a, s_.b, own_, x_, faults_, r_, active,
+                            acc_, ghost_, i);
   }
 
   /// Step 1: the k-lane residual of every own row, published to r.
   void relax(index_t /*iter*/) {
     own_.owner.assert_held();
     r_.writer_role().assert_held();
-    if constexpr (Blocked) {
-      relax_interior_batch(*blk_, s_.a, s_.b, own_, faults_, r_, acc_);
-      relax_boundary_batch(*blk_, s_.a, s_.b, own_, x_, faults_, r_, acc_,
-                           ghost_);
-    } else {
-      for (index_t i = lo_; i < hi_; ++i) row_residual(i, local_r_.row(i - lo_));
-      for (index_t i = lo_; i < hi_; ++i) {
-        r_.write_row(i, {local_r_.row(i - lo_), acc_.size()});
-      }
-    }
+    relax_interior_batch(blk_, s_.a, s_.b, own_, faults_, r_, acc_);
+    relax_boundary_batch(blk_, s_.a, s_.b, own_, x_, faults_, r_, acc_,
+                         ghost_);
   }
 
   /// Step 2: masked commit — lane c moves only while active[c] != 0.0.
   void commit(std::span<const double> active) {
     own_.owner.assert_held();
     x_.writer_role().assert_held();
-    if constexpr (Blocked) {
-      commit_block_batch(*blk_, own_, x_, r_, active, rrow_);
-    } else {
-      for (index_t i = lo_; i < hi_; ++i) {
-        x_.read_row(i, xrow_);
-        commit_row(i, local_r_.row(i - lo_), active);
-      }
-    }
+    commit_block_batch(blk_, own_, x_, r_, active, rrow_);
   }
 
   /// Step 3: per-column 1-norms of the whole shared residual, rows
@@ -270,9 +242,11 @@ class BatchLane::Worker {
       return;
     }
     std::fill(own.begin(), own.end(), 0.0);
+    const index_t lo = blk_.lo;
+    const index_t hi = blk_.hi;
     for (index_t i = 0; i < n; ++i) {
       r_.read_row(i, rrow_);
-      const bool mine = i >= lo_ && i < hi_;
+      const bool mine = i >= lo && i < hi;
 #pragma omp simd
       for (index_t c = 0; c < k_; ++c) {
         const double v = std::abs(rrow_[static_cast<std::size_t>(c)]);
@@ -283,52 +257,16 @@ class BatchLane::Worker {
   }
 
  private:
-  /// The reference kernel's CSR row on every lane: k-wide row reads through
-  /// the injector, this iteration's flipped entry substituted.
-  void row_residual(index_t i, double* acc) {
-    const auto [cols, vals] = s_.a.row(i);
-    const double* br = s_.b.row(i);
-#pragma omp simd
-    for (index_t c = 0; c < k_; ++c) acc[c] = br[c];
-    FlippedEntry flipped;
-    const bool has_flip = faults_.flip(i, cols, vals, flipped);
-    for (std::size_t p = 0; p < cols.size(); ++p) {
-      const double aij = has_flip && flipped.entry == p ? flipped.value : vals[p];
-      faults_.read_row(x_, cols[p], xrow_);
-#pragma omp simd
-      for (index_t c = 0; c < k_; ++c) {
-        acc[c] -= aij * xrow_[static_cast<std::size_t>(c)];
-      }
-    }
-  }
-
-  /// Commit row i from the x row already in xrow_: the per-column freeze
-  /// blend of commit_block_batch.
-  void commit_row(index_t i, const double* d, std::span<const double> active) {
-    x_.writer_role().assert_held();
-    const double inv = s_.inv_diag[i];
-#pragma omp simd
-    for (index_t c = 0; c < k_; ++c) {
-      const auto cs = static_cast<std::size_t>(c);
-      const double nx = xrow_[cs] + inv * d[c];
-      xrow_[cs] = active[cs] != 0.0 ? nx : xrow_[cs];
-    }
-    x_.write_row(i, xrow_);
-  }
-
   const Setup<BatchLane>& s_;
+  const BlockedCsr::Block& blk_;
   index_t k_;
-  index_t lo_;
-  index_t hi_;
   SharedMultiVector& x_;
   SharedMultiVector& r_;
   Faults& faults_;
   std::vector<double> acc_;
   std::vector<double> ghost_;
   std::vector<double> rrow_;
-  std::vector<double> xrow_;
-  MultiVector local_r_;
-  const BlockedCsr::Block* blk_ = nullptr;
+  std::vector<double> xrow_;  ///< true_residual scratch
   OwnBlockBatchState own_;
 };
 

@@ -57,8 +57,7 @@ struct ScalarLane {
     const bool sellcs = opts.kernel == KernelKind::kSellCS;
     AJAC_CHECK_MSG(!(sellcs && opts.record_trace),
                    "kSellCS amortizes ghost reads into per-iteration buffer "
-                   "refreshes; per-read version traces need kBlocked or "
-                   "kReference");
+                   "refreshes; per-read version traces need kBlocked");
     AJAC_CHECK_MSG(!(sellcs && opts.local_gauss_seidel),
                    "the in-place local sweep reads its own fresh updates "
                    "row-by-row; the SELL repack relaxes rows out of order "
@@ -69,7 +68,7 @@ struct ScalarLane {
     AJAC_CHECK_MSG(
         !(opts.ghost_precision == GhostPrecision::kFp32 && !sellcs),
         "fp32 ghost publication is part of the kSellCS data plane; the "
-        "blocked and reference kernels read the fp64 vector per entry");
+        "blocked kernels read the fp64 vector per entry");
   }
 
   static index_t width(const Vector& /*b*/) { return 1; }
@@ -134,44 +133,37 @@ struct ScalarLane {
     return result;
   }
 
-  template <class Faults, class Metrics, bool Blocked>
+  template <class Faults, class Metrics>
   class Worker;
 };
 
 /// Per-thread data plane of the scalar lane. The partition makes this
 /// thread the sole writer of rows [lo, hi) of x and r and of its private
 /// mirror: every method claims the roles its kernel calls require (claims,
-/// not locks — ownership is established by the partition).
-template <class Faults, class Metrics, bool Blocked>
+/// not locks — ownership is established by the partition). commit_block
+/// reads the residual back from the shared r: the thread is its sole writer
+/// on these rows, so the value published in step 1 reads back bit-exact.
+template <class Faults, class Metrics>
 class ScalarLane::Worker {
  public:
   Worker(const Setup<ScalarLane>& s, index_t t, SharedVector& x,
          SharedVector& r, Faults& faults, Metrics& metrics,
          std::vector<model::RelaxationEvent>& events)
-      : s_(s), lo_(s.part.part_begin(t)), hi_(s.part.part_end(t)), x_(x),
-        r_(r), faults_(faults), metrics_(metrics), events_(events) {
-    if constexpr (Blocked) {
-      // Thread-private mirror of the own rows; kSellCS adds the SELL
-      // interior view and the dense ghost buffer.
-      blk_ = &s.blocked->block(t);
-      refresh_own();
-      if (s.sell != nullptr) {
-        sblk_ = &s.sell->block(t);
-        ghosts_.assign(blk_->ghost_cols.size(), 0.0);
-      }
-    } else {
-      // Relax->commit carrier for the reference kernels. The blocked
-      // kernels need none: each thread is the sole writer of its own rows
-      // of the shared r, so the residual published during step 1 reads
-      // back bit-exact in commit_block.
-      local_r_.assign(static_cast<std::size_t>(hi_ - lo_), 0.0);
+      : s_(s), blk_(s.blocked.block(t)), x_(x), r_(r), faults_(faults),
+        metrics_(metrics), events_(events) {
+    // Thread-private mirror of the own rows; kSellCS adds the SELL
+    // interior view and the dense ghost buffer.
+    refresh_own();
+    if (s.sell != nullptr) {
+      sblk_ = &s.sell->block(t);
+      ghosts_.assign(blk_.ghost_cols.size(), 0.0);
     }
   }
 
-  /// (Re)load the own-block mirror from the shared x (blocked kernels).
+  /// (Re)load the own-block mirror from the shared x.
   void refresh_own() {
     own_.owner.assert_held();
-    if constexpr (Blocked) refresh_own_block(*blk_, x_, own_);
+    refresh_own_block(blk_, x_, own_);
   }
 
   /// |true residual| of own row i from an x snapshot, bypassing faults.
@@ -190,15 +182,11 @@ class ScalarLane::Worker {
     own_.owner.assert_held();
     x_.writer_role().assert_held();
     r_.writer_role().assert_held();
-    if constexpr (Blocked) {
-      if (s_.opts.record_trace) {
-        relax_row_sampled_traced(*blk_, s_.a, s_.b, own_, x_, faults_,
-                                 metrics_, iter, r_, events_, i);
-      } else {
-        relax_row_sampled(*blk_, s_.a, s_.b, own_, x_, r_, faults_, i);
-      }
+    if (s_.opts.record_trace) {
+      relax_row_sampled_traced(blk_, s_.a, s_.b, own_, x_, faults_, metrics_,
+                               iter, r_, events_, i);
     } else {
-      relax_in_place(i, iter);
+      relax_row_sampled(blk_, s_.a, s_.b, own_, x_, r_, faults_, i);
     }
   }
 
@@ -209,35 +197,26 @@ class ScalarLane::Worker {
     x_.writer_role().assert_held();
     r_.writer_role().assert_held();
     const SharedOptions& opts = s_.opts;
-    if constexpr (Blocked) {
-      if (opts.local_gauss_seidel) {
-        relax_block_gs(*blk_, s_.a, s_.b, own_, x_, r_, faults_);
-      } else if (opts.record_trace) {
-        relax_traced(*blk_, s_.a, s_.b, own_, x_, faults_, metrics_, iter, r_,
-                     events_);
-      } else if (sblk_ != nullptr) {
-        // kSellCS: refresh the dense ghost buffer once (from the fp32
-        // shadow when one exists, else the authoritative fp64 vector), then
-        // relax the SELL-packed interior and the buffered boundary.
-        if (s_.shadow != nullptr) {
-          refresh_ghosts_f32(*blk_, *s_.shadow, ghosts_);
-        } else {
-          refresh_ghosts(*blk_, x_, ghosts_);
-        }
-        if constexpr (Metrics::enabled) metrics_.ghost_refresh();
-        relax_interior_sell(*sblk_, s_.b, own_, r_);
-        relax_boundary_buffered(*blk_, s_.b, own_, ghosts_, r_);
+    if (opts.local_gauss_seidel) {
+      relax_block_gs(blk_, s_.a, s_.b, own_, x_, r_, faults_);
+    } else if (opts.record_trace) {
+      relax_traced(blk_, s_.a, s_.b, own_, x_, faults_, metrics_, iter, r_,
+                   events_);
+    } else if (sblk_ != nullptr) {
+      // kSellCS: refresh the dense ghost buffer once (from the fp32 shadow
+      // when one exists, else the authoritative fp64 vector), then relax
+      // the SELL-packed interior and the buffered boundary.
+      if (s_.shadow != nullptr) {
+        refresh_ghosts_f32(blk_, *s_.shadow, ghosts_);
       } else {
-        relax_interior(*blk_, s_.a, s_.b, own_, faults_, r_);
-        relax_boundary(*blk_, s_.a, s_.b, own_, x_, faults_, r_);
+        refresh_ghosts(blk_, x_, ghosts_);
       }
-    } else if (opts.local_gauss_seidel) {
-      // In-place forward sweep: each row's update is visible to the
-      // following rows (and to other threads) immediately.
-      for (index_t i = lo_; i < hi_; ++i) relax_in_place(i, iter);
+      if constexpr (Metrics::enabled) metrics_.ghost_refresh();
+      relax_interior_sell(*sblk_, s_.b, own_, r_);
+      relax_boundary_buffered(blk_, s_.b, own_, ghosts_, r_);
     } else {
-      for (index_t i = lo_; i < hi_; ++i) local_r_[ri(i)] = row_residual(i, iter);
-      for (index_t i = lo_; i < hi_; ++i) r_.write(i, local_r_[ri(i)]);
+      relax_interior(blk_, s_.a, s_.b, own_, faults_, r_);
+      relax_boundary(blk_, s_.a, s_.b, own_, x_, faults_, r_);
     }
   }
 
@@ -248,19 +227,13 @@ class ScalarLane::Worker {
     if (s_.opts.local_gauss_seidel) return;
     own_.owner.assert_held();
     x_.writer_role().assert_held();
-    if constexpr (Blocked) {
-      commit_block(*blk_, own_, x_, r_);
-      if (s_.shadow != nullptr) {
-        // fp32 ghost runs: republish the freshly committed own rows to the
-        // float shadow neighbours refresh from. The partition makes this
-        // thread the shadow's sole writer on these rows.
-        s_.shadow->writer_role().assert_held();
-        publish_shadow(*blk_, own_, *s_.shadow);
-      }
-    } else {
-      for (index_t i = lo_; i < hi_; ++i) {
-        x_.write(i, x_.read(i) + s_.inv_diag[i] * local_r_[ri(i)]);
-      }
+    commit_block(blk_, own_, x_, r_);
+    if (s_.shadow != nullptr) {
+      // fp32 ghost runs: republish the freshly committed own rows to the
+      // float shadow neighbours refresh from. The partition makes this
+      // thread the shadow's sole writer on these rows.
+      s_.shadow->writer_role().assert_held();
+      publish_shadow(blk_, own_, *s_.shadow);
     }
   }
 
@@ -275,79 +248,32 @@ class ScalarLane::Worker {
     if (own.empty()) {
       for (index_t i = 0; i < n; ++i) norm += std::abs(r_.read(i));
     } else {
+      const index_t lo = blk_.lo;
+      const index_t hi = blk_.hi;
       double own_sum = 0.0;
-      for (index_t i = 0; i < lo_; ++i) norm += std::abs(r_.read(i));
-      for (index_t i = lo_; i < hi_; ++i) {
+      for (index_t i = 0; i < lo; ++i) norm += std::abs(r_.read(i));
+      for (index_t i = lo; i < hi; ++i) {
         const double v = std::abs(r_.read(i));
         norm += v;
         own_sum += v;
       }
-      for (index_t i = hi_; i < n; ++i) norm += std::abs(r_.read(i));
+      for (index_t i = hi; i < n; ++i) norm += std::abs(r_.read(i));
       own[0] = own_sum;
     }
     norms[0] = norm;
   }
 
  private:
-  [[nodiscard]] std::size_t ri(index_t i) const {
-    return static_cast<std::size_t>(i - lo_);
-  }
-
-  /// The reference kernel's CSR row: row i against the shared x through
-  /// the injector, with this iteration's flipped entry substituted. Traced
-  /// runs pair every off-diagonal read with its seqlock version.
-  double row_residual(index_t i, index_t iter) {
-    const auto [cols, vals] = s_.a.row(i);
-    FlippedEntry flipped;
-    const bool has_flip = faults_.flip(i, cols, vals, flipped);
-    double acc = s_.b[i];
-    if (!s_.opts.record_trace) {
-      for (std::size_t p = 0; p < cols.size(); ++p) {
-        const double aij =
-            has_flip && flipped.entry == p ? flipped.value : vals[p];
-        acc -= aij * faults_.read(x_, cols[p]);
-      }
-      return acc;
-    }
-    model::RelaxationEvent event;
-    event.row = i;
-    event.reads.reserve(cols.size());
-    for (std::size_t p = 0; p < cols.size(); ++p) {
-      const index_t j = cols[p];
-      const double aij = has_flip && flipped.entry == p ? flipped.value : vals[p];
-      const auto [value, version] =
-          faults_.read_versioned(x_, j, metrics_.retry_sink());
-      acc -= aij * value;
-      if (j == i) continue;
-      if constexpr (Metrics::enabled) metrics_.staleness(iter, version);
-      event.reads.push_back({j, version});
-    }
-    events_.push_back(std::move(event));
-    return acc;
-  }
-
-  /// Reference in-place relaxation of row i (GS sweep, sampled draws).
-  void relax_in_place(index_t i, index_t iter) {
-    x_.writer_role().assert_held();
-    r_.writer_role().assert_held();
-    const double acc = row_residual(i, iter);
-    r_.write(i, acc);
-    x_.write(i, x_.read(i) + s_.inv_diag[i] * acc);
-  }
-
   const Setup<ScalarLane>& s_;
-  index_t lo_;
-  index_t hi_;
+  const BlockedCsr::Block& blk_;
   SharedVector& x_;
   SharedVector& r_;
   Faults& faults_;
   Metrics& metrics_;
   std::vector<model::RelaxationEvent>& events_;
-  const BlockedCsr::Block* blk_ = nullptr;
   const SellCsr::Block* sblk_ = nullptr;  ///< kSellCS only
   OwnBlockState own_;
-  std::vector<double> ghosts_;   ///< kSellCS dense ghost buffer
-  std::vector<double> local_r_;  ///< reference kernels only
+  std::vector<double> ghosts_;  ///< kSellCS dense ghost buffer
 };
 
 }  // namespace

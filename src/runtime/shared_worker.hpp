@@ -9,7 +9,7 @@
 // reset, BlockedCsr/SELL builds, the stream's begin_run), the loop around
 // the termination board (freeze mask, park at the iteration cap), the
 // sampled-policy weight refresh, the beacons, the fault-log merge, and the
-// one Faults x Metrics x Stream x kernel dispatch ladder. The board, the
+// one Faults x Metrics x Stream dispatch ladder. The board, the
 // metrics recorders and the serial verification with polish are the ones
 // solve_mesh runs too (ajac/runtime/control_plane.hpp). A single
 // right-hand side is the k = 1 case of the per-column protocol.
@@ -28,9 +28,10 @@
 //   beacon / beacon_scale     the streamed residual value and its scale;
 //   count_lanes               the batch occupancy metrics (no-op on scalar);
 //   make_result               RunRecord -> the public result struct;
-//   Worker<Faults, Metrics, Blocked>
-//                             the per-thread data plane: own-block mirror,
-//                             scratch, and the kernels — relax (step 1),
+//   Worker<Faults, Metrics>   the per-thread data plane over the solve's
+//                             BlockedCsr (Setup::blocked, always built):
+//                             own-block mirror, scratch, and the kernels of
+//                             blocked_kernels.hpp — relax (step 1),
 //                             relax_drawn (one sampled row, committed in
 //                             place), commit (step 2, masked per column),
 //                             scan (step 3's racy residual norm), and
@@ -95,7 +96,7 @@ struct Setup {
   const partition::Partition& part;
   const Vector& inv_diag;
   const fault::FaultPlan* plan;  ///< null without a non-empty plan
-  const BlockedCsr* blocked;     ///< null on kReference
+  const BlockedCsr& blocked;     ///< one block per thread, always built
   const SellCsr* sell;           ///< kSellCS only
   SharedF32Vector* shadow;       ///< fp32 ghost publication only
 };
@@ -116,7 +117,7 @@ struct RunRecord {
   fault::FaultLog fault_events;  ///< merged, canonical order
 };
 
-template <class Lane, class Faults, class Metrics, class Stream, bool Blocked>
+template <class Lane, class Faults, class Metrics, class Stream>
 typename Lane::Result solve_impl(const Setup<Lane>& s) {
   const CsrMatrix& a = s.a;
   const SharedOptions& opts = s.opts;
@@ -197,7 +198,7 @@ typename Lane::Result solve_impl(const Setup<Lane>& s) {
     Metrics metrics(opts.metrics, t, timer);
     Stream stream(opts.stream, t, timer);
     // Allocated and filled on this thread, so it first-touches its pages.
-    typename Lane::template Worker<Faults, Metrics, Blocked> lane(
+    typename Lane::template Worker<Faults, Metrics> lane(
         s, t, x, r, faults, metrics, run.events[ts]);
 
     // Sampled row policies: per-thread sampler (no shared state; see
@@ -299,8 +300,8 @@ typename Lane::Result solve_impl(const Setup<Lane>& s) {
       } else {
         lane.relax(iter);
       }
-      if constexpr (Metrics::enabled && Blocked) {
-        const BlockedCsr::Block& blk = s.blocked->block(t);
+      if constexpr (Metrics::enabled) {
+        const BlockedCsr::Block& blk = s.blocked.block(t);
         metrics.read_mix(blk.local_nnz, blk.ghost_nnz);
       }
 
@@ -408,24 +409,19 @@ typename Lane::Result solve_impl(const Setup<Lane>& s) {
 }
 
 /// The one dispatch ladder: faults and metrics through with_hooks (the pair
-/// solve_mesh dispatches too), then telemetry and the kernel. Each hook
-/// compiles to no-ops when off, so the common (no plan, no registry, no
-/// hub) path is exactly the plain solver; the kernel choice folds into the
-/// compile-time Blocked flag.
+/// solve_mesh dispatches too), then telemetry. Each hook compiles to no-ops
+/// when off, so the common (no plan, no registry, no hub) path is exactly
+/// the plain solver.
 template <class Lane>
 typename Lane::Result dispatch(const Setup<Lane>& s) {
   using Active = ActiveFaults<typename Lane::Shared, typename Lane::Dense>;
   return with_hooks<Active, NullFaults>(
       s.plan != nullptr, s.opts.metrics != nullptr,
       [&]<class Faults, class Metrics>() {
-        const bool blocked = s.blocked != nullptr;
         if (s.opts.stream != nullptr) {
-          return blocked
-                     ? solve_impl<Lane, Faults, Metrics, ActiveStream, true>(s)
-                     : solve_impl<Lane, Faults, Metrics, ActiveStream, false>(s);
+          return solve_impl<Lane, Faults, Metrics, ActiveStream>(s);
         }
-        return blocked ? solve_impl<Lane, Faults, Metrics, NullStream, true>(s)
-                       : solve_impl<Lane, Faults, Metrics, NullStream, false>(s);
+        return solve_impl<Lane, Faults, Metrics, NullStream>(s);
       });
 }
 
@@ -480,16 +476,13 @@ typename Lane::Result solve(const CsrMatrix& a, const typename Lane::Dense& b,
   // The blocked layout is built once per solve, before the threads start
   // (its constructor runs its own first-touch parallel fill). Construction
   // is O(nnz) with a binary search only on ghost entries.
-  std::optional<BlockedCsr> blocked;
-  if (opts.kernel != KernelKind::kReference) {
-    blocked.emplace(a, std::span<const index_t>(part.block_starts));
-  }
+  const BlockedCsr blocked(a, std::span<const index_t>(part.block_starts));
   // kSellCS additions: the SELL interior repack (boundary rows keep
   // relaxing through the blocked layout) and, for fp32 ghosts, the float
   // shadow of x that neighbours refresh from. The shadow starts at x0 so
   // the first refresh reads the same values the blocked path would.
   std::optional<SellCsr> sell;
-  if (sellcs) sell.emplace(*blocked);
+  if (sellcs) sell.emplace(blocked);
   std::optional<SharedF32Vector> shadow;
   if (opts.ghost_precision == GhostPrecision::kFp32) {
     shadow.emplace(n);
@@ -504,8 +497,8 @@ typename Lane::Result solve(const CsrMatrix& a, const typename Lane::Dense& b,
   }
 
   return dispatch<Lane>(Setup<Lane>{
-      a, b, x0, opts, part, inv_diag, plan, blocked ? &*blocked : nullptr,
-      sell ? &*sell : nullptr, shadow ? &*shadow : nullptr});
+      a, b, x0, opts, part, inv_diag, plan, blocked, sell ? &*sell : nullptr,
+      shadow ? &*shadow : nullptr});
 }
 
 }  // namespace ajac::runtime::detail

@@ -22,9 +22,9 @@
 //
 // Entry order within each row is preserved exactly, so a relaxation that
 // walks a blocked row accumulates in the same order as one walking the
-// original CSR row — blocked and reference kernels produce bitwise
-// identical sums from identical inputs (the contract the differential
-// kernel-equivalence suite pins down).
+// original CSR row — blocked kernels and the sequential solvers produce
+// bitwise identical sums from identical inputs (the contract the
+// differential kernel-equivalence suite pins down).
 //
 // Construction touches each block's arrays from an OpenMP thread chosen by
 // the same static schedule the solver's parallel region uses, so on NUMA

@@ -23,9 +23,9 @@
 //
 // Bitwise contract: slice s of a row is entry s of that row in the source
 // CSR order, so accumulating slice-by-slice sums each row's residual in
-// exactly the order the blocked and reference kernels use. Given identical
-// input values (one thread, or synchronous mode, with fp64 ghosts) the
-// SELL interior produces bit-identical residuals; only the *order rows are
+// exactly the order the blocked kernels use. Given identical input values
+// (one thread, or synchronous mode, with fp64 ghosts) the SELL interior
+// produces bit-identical residuals; only the *order rows are
 // visited in* changes, which step 1 of the Jacobi sweep cannot observe.
 // The kernel-equivalence suite pins this down.
 //

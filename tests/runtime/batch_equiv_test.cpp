@@ -114,37 +114,29 @@ void expect_batch_matches_singles(const BatchProblem& p, SharedOptions opts) {
 TEST(BatchEquiv, SynchronousMatchesIndependentSolves) {
   for (auto& [name, a] : test_matrices()) {
     SCOPED_TRACE(name);
-    for (const auto kernel : {KernelKind::kBlocked, KernelKind::kReference}) {
-      SCOPED_TRACE(kernel == KernelKind::kBlocked ? "blocked" : "reference");
-      const BatchProblem p =
-          make_batch_problem(CsrMatrix(a), 4, ajac::testing::test_seed(91));
-      SharedOptions opts;
-      opts.num_threads = 3;
-      opts.synchronous = true;
-      opts.tolerance = 1e-8;
-      opts.max_iterations = 40000;
-      opts.record_history = false;
-      opts.kernel = kernel;
-      expect_batch_matches_singles(p, opts);
-    }
+    const BatchProblem p =
+        make_batch_problem(CsrMatrix(a), 4, ajac::testing::test_seed(91));
+    SharedOptions opts;
+    opts.num_threads = 3;
+    opts.synchronous = true;
+    opts.tolerance = 1e-8;
+    opts.max_iterations = 40000;
+    opts.record_history = false;
+    expect_batch_matches_singles(p, opts);
   }
 }
 
 TEST(BatchEquiv, SingleThreadAsyncZeroUlp) {
   for (auto& [name, a] : test_matrices()) {
     SCOPED_TRACE(name);
-    for (const auto kernel : {KernelKind::kBlocked, KernelKind::kReference}) {
-      SCOPED_TRACE(kernel == KernelKind::kBlocked ? "blocked" : "reference");
-      const BatchProblem p =
-          make_batch_problem(CsrMatrix(a), 3, ajac::testing::test_seed(93));
-      SharedOptions opts;
-      opts.num_threads = 1;
-      opts.tolerance = 1e-8;
-      opts.max_iterations = 40000;
-      opts.record_history = false;
-      opts.kernel = kernel;
-      expect_batch_matches_singles(p, opts);
-    }
+    const BatchProblem p =
+        make_batch_problem(CsrMatrix(a), 3, ajac::testing::test_seed(93));
+    SharedOptions opts;
+    opts.num_threads = 1;
+    opts.tolerance = 1e-8;
+    opts.max_iterations = 40000;
+    opts.record_history = false;
+    expect_batch_matches_singles(p, opts);
   }
 }
 

@@ -180,32 +180,26 @@ TEST(PolicyDeterminism, DistsimTraceReplaysSeedDeterministically) {
 TEST(PolicyDeterminism, BatchK1MatchesScalarDraws) {
   // The batch solver reuses the scalar (seed, worker, iter, slot) draw
   // coordinates, so a k = 1 batch must walk the same sampled schedule and
-  // land on the bitwise-identical solution for both kernels.
+  // land on the bitwise-identical solution.
   const auto p =
       gen::make_problem("fd", gen::fd_laplacian_2d(10, 10), test_seed(7));
   const MultiVector b1 = MultiVector::broadcast(p.b, 1);
   const MultiVector x1 = MultiVector::broadcast(p.x0, 1);
   for (const RowPolicy policy :
        {RowPolicy::kUniformRandom, RowPolicy::kResidualWeighted}) {
-    for (const KernelKind kernel :
-         {KernelKind::kBlocked, KernelKind::kReference}) {
-      SCOPED_TRACE(std::string(policy_name(policy)) + " kernel " +
-                   std::to_string(static_cast<int>(kernel)));
-      SharedOptions o = base_async(policy);
-      o.num_threads = 1;  // single worker: async run is deterministic
-      o.max_iterations = 30;
-      o.kernel = kernel;
-      const SharedResult scalar = solve_shared(p.a, p.b, p.x0, o);
-      const SharedBatchResult batch = solve_shared_batch(p.a, b1, x1, o);
-      ASSERT_EQ(batch.x.num_cols(), 1);
-      ASSERT_EQ(static_cast<std::size_t>(batch.x.num_rows()),
-                scalar.x.size());
-      for (index_t i = 0; i < batch.x.num_rows(); ++i) {
-        ASSERT_EQ(batch.x(i, 0), scalar.x[static_cast<std::size_t>(i)])
-            << "row " << i;
-      }
-      EXPECT_EQ(batch.total_relaxations, scalar.total_relaxations);
+    SCOPED_TRACE(policy_name(policy));
+    SharedOptions o = base_async(policy);
+    o.num_threads = 1;  // single worker: async run is deterministic
+    o.max_iterations = 30;
+    const SharedResult scalar = solve_shared(p.a, p.b, p.x0, o);
+    const SharedBatchResult batch = solve_shared_batch(p.a, b1, x1, o);
+    ASSERT_EQ(batch.x.num_cols(), 1);
+    ASSERT_EQ(static_cast<std::size_t>(batch.x.num_rows()), scalar.x.size());
+    for (index_t i = 0; i < batch.x.num_rows(); ++i) {
+      ASSERT_EQ(batch.x(i, 0), scalar.x[static_cast<std::size_t>(i)])
+          << "row " << i;
     }
+    EXPECT_EQ(batch.total_relaxations, scalar.total_relaxations);
   }
 }
 

@@ -251,29 +251,24 @@ TEST(PropRowPolicy, NaturalOrderLeavesSolverBitwiseUnchanged) {
   // comparison is exact.
   const auto p = gen::make_problem("fd", gen::fd_laplacian_2d(10, 10),
                                    test_seed(700));
-  for (const KernelKind kernel :
-       {KernelKind::kBlocked, KernelKind::kReference}) {
-    SharedOptions base;
-    base.num_threads = 4;
-    base.synchronous = true;
-    base.tolerance = 0.0;
-    base.max_iterations = 40;
-    base.record_history = false;
-    base.kernel = kernel;
-    const SharedResult plain = solve_shared(p.a, p.b, p.x0, base);
+  SharedOptions base;
+  base.num_threads = 4;
+  base.synchronous = true;
+  base.tolerance = 0.0;
+  base.max_iterations = 40;
+  base.record_history = false;
+  const SharedResult plain = solve_shared(p.a, p.b, p.x0, base);
 
-    SharedOptions tagged = base;
-    tagged.policy = RowPolicy::kNaturalOrder;  // explicit default
-    tagged.policy_seed = 0xfeedULL;            // inert without sampling
-    tagged.weight_refresh = 3;
-    const SharedResult r = solve_shared(p.a, p.b, p.x0, tagged);
-    ASSERT_EQ(plain.x.size(), r.x.size());
-    for (std::size_t i = 0; i < plain.x.size(); ++i) {
-      ASSERT_EQ(plain.x[i], r.x[i]) << "kernel " << static_cast<int>(kernel)
-                                    << " row " << i;
-    }
-    EXPECT_EQ(plain.total_relaxations, r.total_relaxations);
+  SharedOptions tagged = base;
+  tagged.policy = RowPolicy::kNaturalOrder;  // explicit default
+  tagged.policy_seed = 0xfeedULL;            // inert without sampling
+  tagged.weight_refresh = 3;
+  const SharedResult r = solve_shared(p.a, p.b, p.x0, tagged);
+  ASSERT_EQ(plain.x.size(), r.x.size());
+  for (std::size_t i = 0; i < plain.x.size(); ++i) {
+    ASSERT_EQ(plain.x[i], r.x[i]) << "row " << i;
   }
+  EXPECT_EQ(plain.total_relaxations, r.total_relaxations);
 }
 
 TEST(PropRowPolicy, SampledConfigChecks) {

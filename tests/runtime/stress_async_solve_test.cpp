@@ -125,13 +125,15 @@ TEST(StressAsyncSolve, BlockedKernelThreadSweep) {
 }
 
 TEST(StressAsyncSolve, ReferenceKernelStillSound) {
-  // The reference path remains the differential-testing oracle; keep it
-  // under the same TSan pressure as the blocked default.
+  // The blocked kernels on the facade's default partition: nnz-balanced
+  // blocks move the interior/boundary split and the ghost sets away from
+  // the equal-row blocks every other stress test uses.
   const auto p = small_problem(45);
   for (index_t threads : {2, 4}) {
     SharedOptions so;
     so.num_threads = threads;
-    so.kernel = KernelKind::kReference;
+    so.kernel = KernelKind::kBlocked;
+    so.partition = partition::nnz_balanced_partition(p.a, threads);
     so.tolerance = 1e-5;
     so.max_iterations = 200000;
     so.record_history = false;

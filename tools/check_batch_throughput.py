@@ -16,7 +16,7 @@ times, and the unit-stride inner loops over the batch dimension vectorize.
 The k=8 run must reach at least --min-ratio times the k=1 throughput
 (default 2.0), minus --noise-tolerance-pct (default 3) of jitter allowance.
 Throughput is the median over --benchmark_repetitions (see
-check_kernel_speedup.py for why median, not mean). Exit status: 0 ok,
+compare_bench.py for why median, not mean). Exit status: 0 ok,
 1 too slow or benchmarks missing, 2 bad input.
 
 Usage: tools/check_batch_throughput.py report.json [--min-ratio 2.0]

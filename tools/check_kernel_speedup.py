@@ -1,72 +1,27 @@
 #!/usr/bin/env python3
-"""Gate the blocked kernels' throughput from a benchmark JSON report.
+"""Gate the large-n kernel ordering from a bench_scale report.
 
-Two modes, one per report schema:
+Reads the "scale" table of an ajac-bench-report JSON (from
+`bench_scale --json ...`), picks the largest fd2 problem it benched (CI
+runs --edge 2048, local runs default to 4096), and gates the ordering the
+bandwidth work promises, on mrows_per_s:
 
-Default (google-benchmark JSON, from `bench_kernels --json ...`): compares
-the partition-aware blocked asynchronous solve against the reference one
-on the 256x256 FD Laplacian:
-
-    BM_SolveSharedAsync/256/real_time    (KernelKind::kReference)
-    BM_SolveSharedBlocked/256/real_time  (KernelKind::kBlocked)
-
-The blocked run must reach at least --min-speedup times the reference's
-items_per_second (default 1.0: the blocked default may never be slower than
-the reference oracle), minus a small noise allowance. Throughput comes from
-the *median* over --benchmark_repetitions, not the mean — on shared CI
-runners a single descheduled repetition drags the mean far below steady
-state, while the median shrugs it off — and --noise-tolerance-pct (default
-3) relaxes the floor by the residual run-to-run jitter two medians still
-carry.
-
---scale (ajac-bench-report JSON, from `bench_scale --json ...`): reads the
-"scale" table, picks the largest fd2 problem it benched (CI runs
---edge 2048, local runs default to 4096), and gates the large-n ordering
-the bandwidth work promises, on mrows_per_s:
-
-    blocked                    >= reference x --min-speedup
-    best of sellcs/sellcs-fp32 >= blocked   x --min-new-speedup
+    best of sellcs/sellcs-fp32 >= blocked x --min-new-speedup
 
 bench_scale already reports medians over --reps, so the rows are used
-directly; the same --noise-tolerance-pct allowance applies to both floors.
+directly; --noise-tolerance-pct (default 3) relaxes the floor by the
+residual run-to-run jitter two medians still carry.
 
-Exit status: 0 ok, 1 too slow or benchmarks missing, 2 bad input.
+Exit status: 0 ok, 1 too slow or kernels missing, 2 bad input.
 
-Usage: tools/check_kernel_speedup.py report.json [--min-speedup 1.0]
-       tools/check_kernel_speedup.py scale.json --scale [--min-new-speedup 1.0]
+Usage: tools/check_kernel_speedup.py scale.json [--min-new-speedup 1.0]
 """
 
 import argparse
 import json
-import statistics
 import sys
 
-REFERENCE = "BM_SolveSharedAsync/256/real_time"
-BLOCKED = "BM_SolveSharedBlocked/256/real_time"
-
 SCALE_NEW_KERNELS = ("sellcs", "sellcs-fp32")
-
-
-def items_per_second(report: dict, name: str) -> float:
-    # With --benchmark_repetitions the report carries one entry per
-    # repetition plus aggregates. Prefer the median aggregate; otherwise
-    # compute the median of the repetition entries ourselves (also covers
-    # the single-run case, where the median of one value is that value).
-    rates = []
-    for bench in report.get("benchmarks", []):
-        run_name = bench.get("run_name", bench.get("name"))
-        if run_name != name:
-            continue
-        rate = bench.get("items_per_second")
-        if rate is None:
-            continue
-        if bench.get("aggregate_name") == "median":
-            return float(rate)
-        if bench.get("run_type", "iteration") == "iteration":
-            rates.append(float(rate))
-    if not rates:
-        raise KeyError(name)
-    return statistics.median(rates)
 
 
 def gate(label: str, actual: float, base: float, min_speedup: float,
@@ -82,7 +37,7 @@ def gate(label: str, actual: float, base: float, min_speedup: float,
 
 
 def check_scale(report: dict, args) -> int:
-    """Gate the bench_scale table (see module docstring, --scale mode)."""
+    """Gate the bench_scale table (see the module docstring)."""
     table = report.get("tables", {}).get("scale")
     if table is None:
         print("check_kernel_speedup: no 'scale' table in report "
@@ -114,8 +69,7 @@ def check_scale(report: dict, args) -> int:
     problem = max(by_problem, key=lambda p: by_problem[p]["n"])
     rates = by_problem[problem]["rates"]
 
-    missing = [k for k in ("reference", "blocked", *SCALE_NEW_KERNELS)
-               if k not in rates]
+    missing = [k for k in ("blocked", *SCALE_NEW_KERNELS) if k not in rates]
     if missing:
         print(f"check_kernel_speedup: kernels {missing} missing from "
               f"{problem} (run bench_scale with all kernels)",
@@ -126,25 +80,18 @@ def check_scale(report: dict, args) -> int:
     print(f"check_kernel_speedup: {problem} "
           f"(n={by_problem[problem]['n']:,}): " +
           ", ".join(f"{k} {rates[k]:.1f} Mrows/s"
-                    for k in ("reference", "blocked", *SCALE_NEW_KERNELS)))
-    ok = gate("blocked vs reference", rates["blocked"], rates["reference"],
-              args.min_speedup, args.noise_tolerance_pct)
-    ok &= gate(f"{best_new} vs blocked", rates[best_new], rates["blocked"],
-               args.min_new_speedup, args.noise_tolerance_pct)
+                    for k in ("blocked", *SCALE_NEW_KERNELS)))
+    ok = gate(f"{best_new} vs blocked", rates[best_new], rates["blocked"],
+              args.min_new_speedup, args.noise_tolerance_pct)
     return 0 if ok else 1
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("report", help="benchmark --json output file")
-    parser.add_argument("--scale", action="store_true",
-                        help="gate a bench_scale ajac-bench-report instead "
-                             "of a bench_kernels google-benchmark report")
-    parser.add_argument("--min-speedup", type=float, default=1.0,
-                        help="minimum blocked/reference throughput ratio")
+    parser.add_argument("report", help="bench_scale --json output file")
     parser.add_argument("--min-new-speedup", type=float, default=1.0,
-                        help="--scale only: minimum best-of-sellcs/blocked "
-                             "throughput ratio")
+                        help="minimum best-of-sellcs/blocked throughput "
+                             "ratio")
     parser.add_argument("--noise-tolerance-pct", type=float, default=3.0,
                         help="run-to-run jitter allowance subtracted from "
                              "the floor, in percent")
@@ -158,28 +105,7 @@ def main() -> int:
               file=sys.stderr)
         return 2
 
-    if args.scale:
-        return check_scale(report, args)
-
-    try:
-        ref = items_per_second(report, REFERENCE)
-        blk = items_per_second(report, BLOCKED)
-    except KeyError as e:
-        print(f"check_kernel_speedup: benchmark {e} missing from report "
-              f"(run bench_kernels without a filter excluding SolveShared)",
-              file=sys.stderr)
-        return 1
-
-    if ref <= 0:
-        print("check_kernel_speedup: reference items_per_second is zero",
-              file=sys.stderr)
-        return 2
-
-    print(f"check_kernel_speedup: reference {ref:,.0f} items/s, "
-          f"blocked {blk:,.0f} items/s")
-    ok = gate("blocked vs reference", blk, ref, args.min_speedup,
-              args.noise_tolerance_pct)
-    return 0 if ok else 1
+    return check_scale(report, args)
 
 
 if __name__ == "__main__":

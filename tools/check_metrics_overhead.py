@@ -19,7 +19,7 @@ a null registry is 2 — pass --max-overhead-pct 2 against a pair of runs
 that both use metrics == nullptr to check that claim). The batch pair is
 checked only when present in the report, so the gate still works on older
 baselines. Throughput is the median over --benchmark_repetitions (see
-check_kernel_speedup.py for why median, not mean). Exit status: 0 ok,
+compare_bench.py for why median, not mean). Exit status: 0 ok,
 1 over budget or benchmarks missing, 2 bad input.
 
 Usage: tools/check_metrics_overhead.py report.json [--max-overhead-pct 5]

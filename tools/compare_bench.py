@@ -19,7 +19,7 @@ So a CI run can show the performance trend against the committed baseline:
 Medians, not means: with --benchmark_repetitions the report carries one
 entry per repetition plus aggregates; a single descheduled repetition on a
 shared runner drags the mean far below steady state while the median
-shrugs it off (same convention as check_kernel_speedup.py). Deltas within
+shrugs it off (same convention as the overhead and batch gates). Deltas within
 --noise-tolerance-pct are labeled '~' (noise); larger ones '+' (faster) or
 '-' (slower).
 
